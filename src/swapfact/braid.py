@@ -27,10 +27,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
+from .words import ContextMismatch, Word, compose
+
 Perm = Tuple[int, ...]
 
 
-class StrandMismatch(ValueError):
+class StrandMismatch(ContextMismatch):
     """Raised when combining words defined on different strand counts."""
 
 
@@ -38,102 +40,47 @@ class StrandMismatch(ValueError):
 # Words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BraidLetter:
-    """A single Artin generator b_index^sign with 1 <= index <= n-1."""
-    index: int
-    sign: int = 1
+class BraidWord(Word):
+    """An unreduced word in B_n; letters are (index, sign) pairs, b_index^sign
+    with 1 <= index <= n-1, and the rightmost letter acts first."""
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"generator index must be >= 1, got {self.index}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+    __slots__ = ()
+    _mismatch = StrandMismatch
 
-    def inverse(self) -> "BraidLetter":
-        return BraidLetter(self.index, -self.sign)
+    @property
+    def strands(self) -> int:
+        return self.context
 
-
-@dataclass(frozen=True)
-class BraidWord:
-    """An unreduced word in B_n; the rightmost letter acts first."""
-    strands: int
-    letters: Tuple[BraidLetter, ...] = ()
-
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.strands < 1:
             raise ValueError("strand count must be >= 1")
-        for l in self.letters:
-            if l.index >= self.strands:
+        for i, _ in self.letters:
+            if not 1 <= i < self.strands:
                 raise ValueError(
-                    f"letter b{l.index} does not fit in B_{self.strands}")
+                    f"letter b{i} does not fit in B_{self.strands}")
 
     @staticmethod
     def from_ints(strands: int, ints: Iterable[int]) -> "BraidWord":
         """Build a word from signed integers, e.g. [1, -2] -> b1 b2^-1."""
-        return BraidWord(strands, tuple(
-            BraidLetter(abs(i), 1 if i > 0 else -1) for i in ints))
+        return BraidWord(strands, ((abs(i), 1 if i > 0 else -1) for i in ints))
 
     def to_ints(self) -> Tuple[int, ...]:
-        return tuple(l.index * l.sign for l in self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return compose(self, other)
-
-    def inverse(self) -> "BraidWord":
-        return inverse(self)
+        return tuple(i * s for i, s in self.letters)
 
     def exponent_sum(self) -> int:
-        return sum(l.sign for l in self.letters)
+        return sum(s for _, s in self.letters)
 
     def permutation(self) -> Perm:
         """End positions: strand starting at i (0-based) ends at perm[i]."""
         perm = list(range(self.strands))
         # rightmost letter acts first
-        for l in reversed(self.letters):
-            i = l.index - 1
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        for i, _ in reversed(self.letters):
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
         # perm built by tracking positions: invert tracking to get images
         out = [0] * self.strands
         for pos, strand in enumerate(perm):
             out[strand] = pos
         return tuple(out)
-
-    def free_reduce(self) -> "BraidWord":
-        """Cancel adjacent inverse pairs (no braid relations applied)."""
-        stack: list[BraidLetter] = []
-        for l in self.letters:
-            if stack and stack[-1].index == l.index and stack[-1].sign == -l.sign:
-                stack.pop()
-            else:
-                stack.append(l)
-        return BraidWord(self.strands, tuple(stack))
-
-
-def compose(*words: BraidWord) -> BraidWord:
-    """Concatenate words; the rightmost argument acts first."""
-    if not words:
-        raise ValueError("compose needs at least one word")
-    n = words[0].strands
-    for w in words:
-        if w.strands != n:
-            raise StrandMismatch(f"cannot compose B_{n} with B_{w.strands}")
-    return BraidWord(n, tuple(itertools.chain.from_iterable(
-        w.letters for w in words)))
-
-
-def inverse(w: BraidWord) -> BraidWord:
-    """Reverse the letters and flip every sign."""
-    return BraidWord(w.strands, tuple(
-        l.inverse() for l in reversed(w.letters)))
-
-
-def power(w: BraidWord, k: int) -> BraidWord:
-    base = w if k >= 0 else inverse(w)
-    return BraidWord(w.strands, base.letters * abs(k))
 
 
 def half_twist(n: int) -> BraidWord:
@@ -158,19 +105,7 @@ def band(i: int, j: int, conjugator: BraidWord) -> BraidWord:
         raise ValueError(f"band generator b{i} does not fit in "
                          f"B_{conjugator.strands}")
     core = BraidWord.from_ints(conjugator.strands, [i])
-    return compose(conjugator, core, inverse(conjugator))
-
-
-def axis_band(n: int, s: int, t: int) -> BraidWord:
-    """Band joining punctures s < t along an arc dipping below the axis.
-
-    Equals (b_{t-1} ... b_{s+1}) b_s (b_{s+1}^-1 ... b_{t-1}^-1); for
-    t = s + 1 this is just b_s.
-    """
-    if not 1 <= s < t <= n:
-        raise ValueError(f"need 1 <= s < t <= {n}, got ({s}, {t})")
-    conj = BraidWord.from_ints(n, range(t - 1, s, -1))
-    return band(s, t, conj)
+    return compose(conjugator, core, conjugator.inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +176,8 @@ class GarsideNormalForm:
     def word(self) -> BraidWord:
         """Expand back to a braid word (used by idempotence tests)."""
         n = self.strands
-        ints: list[int] = []
-        delta = half_twist(n).to_ints()
-        if self.infimum >= 0:
-            ints.extend(delta * self.infimum)
-        else:
-            ints.extend([-i for i in reversed(delta)] * (-self.infimum))
-        for f in self.factors:
-            ints.extend(_perm_word(f))
-        return BraidWord.from_ints(n, ints)
+        return compose(half_twist(n).power(self.infimum), *[
+            BraidWord.from_ints(n, _perm_word(f)) for f in self.factors])
 
 
 def _perm_word(p: Perm) -> list[int]:
@@ -302,12 +230,11 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     # powers to the front: X . Delta^e = Delta^e . tau^e(X).
     factors: list[Perm] = []
     powers: list[int] = []
-    for l in w.letters:
-        s = l.index - 1
+    for i, sign in w.letters:
         t = list(ident)
-        t[s], t[s + 1] = t[s + 1], t[s]
+        t[i - 1], t[i] = t[i], t[i - 1]
         t = tuple(t)
-        if l.sign > 0:
+        if sign > 0:
             factors.append(t)
             powers.append(0)
         else:
@@ -453,8 +380,8 @@ def _act_interior(pairs: list, i: int, sign: int) -> None:
 def _act_padded(w: BraidWord, pairs: list) -> list:
     """Act on (n+2)-disk coordinate pairs; b_i of B_n acts as b_{i+1}."""
     pairs = list(pairs)
-    for l in reversed(w.letters):
-        _act_interior(pairs, l.index + 1, l.sign)
+    for i, sign in reversed(w.letters):
+        _act_interior(pairs, i + 1, sign)
     return pairs
 
 
@@ -494,7 +421,7 @@ def dynnikov_equal(w1: BraidWord, w2: BraidWord) -> bool:
         return False
     if w1.permutation() != w2.permutation():
         return False
-    diff = compose(w1, inverse(w2))
+    diff = compose(w1, w2.inverse())
     base = _padded_base(n)
     if _act_padded(diff, base) != base:
         return False

@@ -20,15 +20,14 @@ from . import __version__
 from .braid import equal, normal_form
 from .constructions import (PositiveFactorization,
                             boundary_multitwist_factorization,
-                            commutator_relation, extend_to_genus,
-                            extended_calculator, phi,
+                            calculator_for, commutator_relation,
+                            extend_to_genus, extended_calculator, phi,
                             phi_factorization)
 from .dsl import Document, ParseError, parse, print_document
 from .framed import framed_equal
-from .invariants import (b1_of_total_space, endo_signature, euler_closed,
-                         euler_filling, hyperelliptic_obstruction)
+from .invariants import fibration_invariants
 from .lift import lift as branched_lift
-from .surface import HomologyCalculator, SurfaceModel
+from .surface import SurfaceModel, UnknownCurve, mat_vec
 from .swaps import SurfaceLayout, expand, shadow
 
 REPORT_SCHEMA = 1
@@ -88,10 +87,8 @@ def _cmd_generate(args) -> int:
     elif args.family == "commutator":
         surface = SurfaceModel(2, 2)
         lhs, rhs = commutator_relation(args.m, surface, seed=args.seed)
-        calc = HomologyCalculator(surface)
-        from .surface import compose_twists
-        target_ok = calc.is_identity_action(compose_twists(lhs, rhs))
-        _write(args.output, Document("twist", compose_twists(lhs, rhs)))
+        target_ok = calculator_for(surface).is_identity_action(lhs * rhs)
+        _write(args.output, Document("twist", lhs * rhs))
         print(f"schema: {REPORT_SCHEMA}")
         print(f"family: commutator m={args.m}")
         print(f"letters: {len(lhs) + len(rhs)}")
@@ -159,7 +156,7 @@ def _cmd_verify(args) -> int:
     if surface != d2.value.surface:
         print("twist words on different surfaces", file=sys.stderr)
         return 1
-    calc = HomologyCalculator(surface)
+    calc = calculator_for(surface)
     ok = calc.verify_homologically(d1.value, d2.value)
     if not ok:
         print(f"schema: {REPORT_SCHEMA}")
@@ -182,14 +179,8 @@ def _cmd_verify(args) -> int:
 def _radical_signature(word, calc):
     """Signed count of letters whose class lies in the radical of the
     intersection form: exactly what the homology action cannot see."""
-    j = calc.J
-    total = 0
-    for curve, sign in word.letters:
-        v = calc.curve_class(curve)
-        from .surface import mat_vec
-        if not any(mat_vec(j, v)):
-            total += sign
-    return total
+    return sum(sign for curve, sign in word.letters
+               if not any(mat_vec(calc.J, calc.curve_class(curve))))
 
 
 def _cmd_invariants(args) -> int:
@@ -198,38 +189,23 @@ def _cmd_invariants(args) -> int:
         print("invariants expects a @twist file", file=sys.stderr)
         return 1
     word = doc.value
-    surface = word.surface
     if not word.is_positive():
         print("invariants expects an all-positive factorization",
               file=sys.stderr)
         return 1
-    layout = None
-    for l in (0, 1, 2, 3):
-        cand = SurfaceLayout(l)
-        if cand.ambient_model() == surface:
-            layout = cand
-            break
-    if layout is not None:
-        calc = layout.calculator
-    elif surface.genus > 11:
-        calc = extended_calculator(surface.genus, SurfaceLayout(0))
-    else:
-        calc = HomologyCalculator(surface)
     fact = PositiveFactorization(word, None, "input file",
                                  ("input",) * len(word))
-    summary = b1_of_total_space(fact, calc, cap=True)
-    g, n = surface.genus, len(word)
-    sigma = endo_signature(g, n)
+    inv = fibration_invariants(fact, calculator_for(word.surface))
     print(f"schema: {REPORT_SCHEMA}")
-    print(f"genus: {g}")
-    print(f"n_cycles: {n}")
-    print(f"euler_closed: {euler_closed(g, n)}")
-    print(f"euler_filling: {euler_filling(g, surface.boundary, n)}")
-    print(f"b1: {summary.b1}")
-    print(f"torsion: {','.join(map(str, summary.torsion)) or 'none'}")
-    print(f"endo_sigma_num: {sigma.numerator}")
-    print(f"endo_sigma_den: {sigma.denominator}")
-    print(f"hyperelliptic_verdict: {hyperelliptic_obstruction(g, n)}")
+    print(f"genus: {inv.genus}")
+    print(f"n_cycles: {inv.n_cycles}")
+    print(f"euler_closed: {inv.euler_closed}")
+    print(f"euler_filling: {inv.euler_filling}")
+    print(f"b1: {inv.b1}")
+    print(f"torsion: {','.join(map(str, inv.torsion)) or 'none'}")
+    print(f"endo_sigma_num: {inv.endo_sigma.numerator}")
+    print(f"endo_sigma_den: {inv.endo_sigma.denominator}")
+    print(f"hyperelliptic_verdict: {inv.hyperelliptic_verdict}")
     return 0
 
 
@@ -279,7 +255,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, UnknownCurve) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

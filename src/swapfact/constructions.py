@@ -28,9 +28,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .framed import boundary_multitwist_framed, framed_equal
 from .surface import (DerivedCurve, HomologyCalculator, NamedCurve,
-                      SurfaceModel, TwistWord, compose_twists, mat_vec,
-                      twist)
-from .swaps import SurfaceLayout, SwapWord, embed, expand, rho, shadow
+                      SurfaceModel, TwistWord, mat_vec, twist)
+from .swaps import SurfaceLayout, SwapWord, expand, rho, shadow
+from .words import Word, compose
 
 
 class SearchExhausted(RuntimeError):
@@ -48,8 +48,8 @@ _TAGS = {"c1": ("chain", 1), "c2": ("chain", 2), "c3": ("chain", 3)}
 def word_T(surface: SurfaceModel | None = None) -> TwistWord:
     """T = t_c2 t_c3 (t_c1 t_c2 t_c3)^2 t_c1 t_c2: ten positive twists."""
     surface = surface or SurfaceModel(2, 2)
-    return compose_twists(*[twist(surface, NamedCurve(_TAGS[x]))
-                            for x in _T_SEQUENCE])
+    return compose(*[twist(surface, NamedCurve(_TAGS[x]))
+                     for x in _T_SEQUENCE])
 
 
 _PSI_GEN_TAGS = (("chain", 1), ("chain", 2), ("chain", 3), ("chain", 4),
@@ -153,9 +153,9 @@ def commutator_relation(m: int, surface: SurfaceModel | None = None,
         raise ValueError("need m >= 1")
     surface = surface or SurfaceModel(2, 2)
     psi = make_psi(surface, seed=seed)
-    x = compose_twists(twist(surface, NamedCurve(("chain", 1)), -1).power(m),
-                       twist(surface, NamedCurve(("dcurve", 1))).power(m))
-    c = compose_twists(psi, x, psi.inverse(), x.inverse())
+    x = (twist(surface, NamedCurve(("chain", 1)), -1).power(m)
+         * twist(surface, NamedCurve(("dcurve", 1))).power(m))
+    c = compose(psi, x, psi.inverse(), x.inverse())
     return word_T(surface).power(m), c
 
 
@@ -186,16 +186,8 @@ def phi(layout: SurfaceLayout | int = 0) -> SwapWord:
     """Phi = rho_24 rho_13 rho_34 rho_23 rho_12."""
     if isinstance(layout, int):
         layout = SurfaceLayout(layout)
-    return compose_swaps(rho(layout, 2, 4), rho(layout, 1, 3),
-                         rho(layout, 3, 4), rho(layout, 2, 3),
-                         rho(layout, 1, 2))
-
-
-def compose_swaps(*words: SwapWord) -> SwapWord:
-    out = words[0]
-    for w in words[1:]:
-        out = out * w
-    return out
+    return compose(rho(layout, 2, 4), rho(layout, 1, 3), rho(layout, 3, 4),
+                   rho(layout, 2, 3), rho(layout, 1, 2))
 
 
 def phi_factorization(m: int, l: int = 0, seed: int = 0
@@ -215,16 +207,16 @@ def phi_factorization(m: int, l: int = 0, seed: int = 0
     sub = layout.subsurface_model()
     t_word = word_T(sub)
     psi = make_psi(sub, seed=seed)
-    a_word = compose_twists(twist(sub, NamedCurve(("chain", 1))).power(m),
-                            twist(sub, NamedCurve(("dcurve", 1)), -1).power(m))
+    a_word = (twist(sub, NamedCurve(("chain", 1))).power(m)
+              * twist(sub, NamedCurve(("dcurve", 1)), -1).power(m))
     b_word = psi.inverse()
 
     def sub_letter(i, w):
         return (("sub", i, w), 1)
 
-    gauge = [sub_letter(1, compose_twists(b_word.inverse(),
-                                          a_word.inverse(), b_word)),
-             sub_letter(2, compose_twists(b_word.inverse(), a_word.inverse())),
+    gauge = [sub_letter(1, compose(b_word.inverse(), a_word.inverse(),
+                                   b_word)),
+             sub_letter(2, b_word.inverse() * a_word.inverse()),
              sub_letter(3, b_word.inverse())]
     p_head = SwapWord(layout, tuple(gauge))
     conjugators = [
@@ -252,19 +244,20 @@ def phi_factorization(m: int, l: int = 0, seed: int = 0
 # Inserting equals appending
 # ---------------------------------------------------------------------------
 
-def insert_equals_append(word, insertions: Sequence[Tuple[int, tuple]]):
+def insert_equals_append(word: Word, insertions: Sequence[Tuple[int, tuple]]
+                         ) -> Tuple[Word, Word]:
     """Rewrite insertions as an appended positive prefix.
 
     word is a SwapWord or TwistWord; insertions are (position, letter)
     pairs, position indexing the original letters (0..len), letters
     positive.  Inserting w between W_2 . W_1 equals appending W_2 w W_2^-1,
-    where W_2 is the original prefix together with the already inserted
-    letters of the same block; returns (tilde, full) with full the in-place
-    result and tilde the appended word, so that tilde * word = full in the
-    group.
+    where W_2 is the original prefix only: the letters inserted before w at
+    the same position are not part of it, since conjugation by the prefix
+    distributes over the block.  Returns (tilde, full) with full the
+    in-place result and tilde the appended word, so that tilde * word = full
+    in the group.
     """
-    is_swap = isinstance(word, SwapWord)
-    letters = list(word.letters)
+    letters = word.letters
     blocks: Dict[int, list] = {}
     for pos, letter in insertions:
         if not 0 <= pos <= len(letters):
@@ -273,50 +266,23 @@ def insert_equals_append(word, insertions: Sequence[Tuple[int, tuple]]):
             raise ValueError("only positive letters may be inserted")
         blocks.setdefault(pos, []).append(letter)
 
-    def make_word(ls):
-        return (SwapWord(word.layout, ls) if is_swap
-                else TwistWord(word.surface, ls))
-
-    def conjugate_letter(prefix, letter):
-        if is_swap:
-            kind, sign = letter
-            return (("conj", prefix, kind), sign)
-        curve, sign = letter
-        if isinstance(curve, DerivedCurve):
-            curve = DerivedCurve(curve.base,
-                                 compose_twists(prefix, curve.conjugator))
-        else:
-            curve = DerivedCurve(curve, prefix)
-        return (curve, sign)
-
     tilde: list = []
     full: list = []
     for pos in range(len(letters) + 1):
         if pos in blocks:
-            prefix = make_word(tuple(letters[:pos]))
-            for letter in blocks[pos]:
-                # conjugation by the prefix distributes over the block
-                tilde.append(conjugate_letter(prefix, letter)
-                             if pos else letter)
-                full.append(letter)
+            block = type(word)(word.context, blocks[pos])
+            prefix = type(word)(word.context, letters[:pos])
+            tilde.extend(block.conjugate_letters(prefix).letters if pos
+                         else block.letters)
+            full.extend(block.letters)
         if pos < len(letters):
             full.append(letters[pos])
-    return make_word(tuple(tilde)), make_word(tuple(full))
+    return type(word)(word.context, tilde), type(word)(word.context, full)
 
 
 # ---------------------------------------------------------------------------
 # The boundary multitwist factorization and its extensions
 # ---------------------------------------------------------------------------
-
-def _free_reduce_letters(letters: tuple) -> tuple:
-    out: list = []
-    for kind, sign in letters:
-        if out and out[-1][0] == kind and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((kind, sign))
-    return tuple(out)
-
 
 def _adjacent_spelling(layout: SurfaceLayout) -> SwapWord:
     """Phi respelled in adjacent swaps: rho_23^-1 rho_34 rho_23 rho_12^-1
@@ -349,9 +315,9 @@ def boundary_multitwist_factorization(m: int, l: int = 0, seed: int = 0
     layout = SurfaceLayout(l)
     spelled = _adjacent_spelling(layout)
     tilde, full = insert_equals_append(spelled, _full_twist_insertions())
-    base = compose_swaps(rho(layout, 3, 4), rho(layout, 2, 3),
-                         rho(layout, 1, 2)).power(4)
-    if _free_reduce_letters(full.letters) != base.letters:
+    base = compose(rho(layout, 3, 4), rho(layout, 2, 3),
+                   rho(layout, 1, 2)).power(4)
+    if full.free_reduce() != base:
         raise AssertionError("insertion table does not assemble the "
                              "full-twist word")
 
@@ -361,7 +327,7 @@ def boundary_multitwist_factorization(m: int, l: int = 0, seed: int = 0
     skeleton = tilde * phi_fact.skeleton * multitwists
 
     h = layout.cluster_size
-    word = compose_twists(expand(tilde), phi_fact.word, expand(multitwists))
+    word = compose(expand(tilde), phi_fact.word, expand(multitwists))
     prov = ([f"appended swap insertion {k + 1}" for k in range(7)
              for _ in range(h)]
             + list(phi_fact.provenance)
@@ -389,8 +355,8 @@ def _rebase_curve(curve, new_surface: SurfaceModel):
 
 
 def _rebase_word(word: TwistWord, new_surface: SurfaceModel) -> TwistWord:
-    return TwistWord(new_surface, tuple(
-        (_rebase_curve(c, new_surface), s) for c, s in word.letters))
+    return TwistWord(new_surface, ((_rebase_curve(c, new_surface), s)
+                                   for c, s in word.letters))
 
 
 def extended_calculator(gtarget: int, layout: SurfaceLayout
@@ -402,6 +368,18 @@ def extended_calculator(gtarget: int, layout: SurfaceLayout
     table = {tag: vec + (0,) * (r - len(vec))
              for tag, vec in layout.curve_table().items()}
     return HomologyCalculator(surface, table)
+
+
+def calculator_for(surface: SurfaceModel) -> HomologyCalculator:
+    """The curve table a twist word on this surface is read with: layout l's
+    own table at genus 11+4l, the zero-padded layout-0 table at any other
+    genus above 11, and the base table otherwise."""
+    l, rest = divmod(surface.genus - 11, 4)
+    if surface.boundary != 2 or l < 0:
+        return HomologyCalculator(surface)
+    if rest == 0:
+        return SurfaceLayout(l).calculator
+    return extended_calculator(surface.genus, SurfaceLayout(0))
 
 
 def extend_to_genus(gtarget: int, base: PositiveFactorization
@@ -417,8 +395,8 @@ def extend_to_genus(gtarget: int, base: PositiveFactorization
     if gtarget <= 11:
         raise ValueError("extension needs genus > 11")
     surface = SurfaceModel(gtarget, 2)
-    small = compose_twists(*[twist(surface, NamedCurve(("chain", k)))
-                             for k in range(1, 24)]).power(24)
+    small = compose(*[twist(surface, NamedCurve(("chain", k)))
+                      for k in range(1, 24)]).power(24)
     n_big = 2 * gtarget + 1
     insertions: List[Tuple[int, tuple]] = []
     for block in range(24):
@@ -429,14 +407,14 @@ def extend_to_genus(gtarget: int, base: PositiveFactorization
         for k in range(1, n_big + 1):
             insertions.append((23 * 24, (NamedCurve(("chain", k)), 1)))
     tilde, full = insert_equals_append(small, insertions)
-    big = compose_twists(*[twist(surface, NamedCurve(("chain", k)))
-                           for k in range(1, n_big + 1)]).power(2 * gtarget + 2)
-    if full.letters != big.letters:
+    big = compose(*[twist(surface, NamedCurve(("chain", k)))
+                    for k in range(1, n_big + 1)]).power(2 * gtarget + 2)
+    if full != big:
         raise AssertionError("chain insertion table does not assemble the "
                              "genus-%d chain word" % gtarget)
 
     rebased = _rebase_word(base.word, surface)
-    word = compose_twists(tilde, rebased)
+    word = tilde * rebased
     prov = (tuple(f"appended chain letter {k + 1}" for k in range(len(tilde)))
             + base.provenance)
     return PositiveFactorization(

@@ -9,9 +9,10 @@ A document is a header line followed by whitespace-separated tokens:
     @swap l=0           rho(2,4) rhoA(1,3; c1 c2^-1) sub(c1; F2) M(1) Mb
 
 `#` starts a comment running to the end of the line.  Tokens accept `^k`
-and `^-k` suffixes.  Printing is canonical (single spaces, no comments) and
-parse(print(d)) == d.  Composition is right to left: the rightmost token
-acts first, annotated in printed headers to prevent convention drift.
+and `^-k` suffixes with |k| <= MAX_POWER.  Printing is canonical (single
+spaces, no comments) and parse(print(d)) == d.  Composition is right to
+left: the rightmost token acts first, annotated in printed headers to
+prevent convention drift.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .braid import BraidLetter, BraidWord
+from .braid import BraidWord
 from .framed import (FramedBraid, boundary_multitwist_framed, delta_framed,
                      fcompose, fpower, framed_identity, m_framed,
                      rho_framed)
@@ -43,6 +44,10 @@ class Document:
 
 _TOKEN = re.compile(r"\S+")
 
+# The largest |k| a ^k suffix may carry.  Powers are expanded into letters
+# while parsing, so the cap bounds the memory one token can ask for.
+MAX_POWER = 1000
+
 
 def _tokenize(text: str):
     """Yield (token, line, column) skipping comments."""
@@ -52,17 +57,30 @@ def _tokenize(text: str):
             yield m.group(0), ln, m.start() + 1
 
 
+def _exponent(exp: str | None, line: int, col: int) -> int:
+    """The k of a ^k suffix, 1 when there is none."""
+    if exp is None:
+        return 1
+    try:
+        k = int(exp)
+    except ValueError:
+        raise ParseError(f"bad exponent {exp!r}", line, col) from None
+    if abs(k) > MAX_POWER:
+        raise ParseError(f"exponent {k} exceeds the cap {MAX_POWER}",
+                         line, col)
+    return k
+
+
 def _split_power(tok: str, line: int, col: int) -> Tuple[str, int]:
-    if "^" in tok:
-        base, _, exp = tok.partition("^")
-        if not base:
-            raise ParseError("detached power suffix", line, col)
-        try:
-            k = int(exp)
-        except ValueError:
-            raise ParseError(f"bad exponent {exp!r}", line, col) from None
-        return base, k
-    return tok, 1
+    base, caret, exp = tok.partition("^")
+    if caret and not base:
+        raise ParseError("detached power suffix", line, col)
+    return base, _exponent(exp if caret else None, line, col)
+
+
+def _repeat(generator, k: int) -> list:
+    """The letters of generator^k."""
+    return [(generator, 1 if k > 0 else -1)] * abs(k)
 
 
 def _parse_header(tokens, text):
@@ -94,7 +112,7 @@ def _parse_braid(params, toks) -> BraidWord:
     n = params.get("n")
     if n is None:
         raise ParseError("braid header needs n=<strands>", 1, 1)
-    letters: List[BraidLetter] = []
+    letters: list = []
     for tok, ln, col in toks:
         base, k = _split_power(tok, ln, col)
         m = _BRAID_TOK.fullmatch(base)
@@ -103,13 +121,12 @@ def _parse_braid(params, toks) -> BraidWord:
         i = int(m.group(1))
         if not 1 <= i < n:
             raise ParseError(f"generator b{i} out of range for n={n}", ln, col)
-        sign = 1 if k > 0 else -1
-        letters.extend([BraidLetter(i, sign)] * abs(k))
-    return BraidWord(n, tuple(letters))
+        letters.extend(_repeat(i, k))
+    return BraidWord(n, letters)
 
 
 def _print_braid(w: BraidWord) -> str:
-    toks = [f"b{l.index}" + ("^-1" if l.sign < 0 else "") for l in w.letters]
+    toks = [f"b{i}" + ("^-1" if s < 0 else "") for i, s in w.letters]
     return f"@braid n={w.strands}\n" + _wrap(toks)
 
 
@@ -139,6 +156,24 @@ def _parse_framed(params, toks) -> FramedBraid:
             raise ParseError(f"unknown framed token {base!r}", ln, col)
         out = fcompose(out, fpower(x, k))
     return out
+
+
+def _print_framed(x: FramedBraid) -> str:
+    n = x.strands
+    toks = [f"delta({i},{i + 1})" + ("^-1" if s < 0 else "")
+            for i, s in x.underlying.letters]
+    # The M(k) tokens come last, so they act first; their braids are
+    # trivial, so each adds its power to strand k's framing on top of what
+    # the delta tokens leave there.
+    deltas = fcompose(framed_identity(n), *[
+        fpower(delta_framed(i, i + 1, n), s) for i, s in x.underlying.letters])
+    for k, (want, have) in enumerate(zip(x.framings, deltas.framings), 1):
+        c = want - have
+        while c:
+            step = max(-MAX_POWER, min(MAX_POWER, c))
+            toks.append(f"M({k})" + ("" if step == 1 else f"^{step}"))
+            c -= step
+    return f"@framed n={n}\n" + _wrap(toks)
 
 
 # --- twist ------------------------------------------------------------------
@@ -177,24 +212,20 @@ def _parse_twist_tokens(surface: SurfaceModel, toks) -> TwistWord:
         if tok.startswith("img("):
             # img(<word>; <curve>) possibly spanning tokens
             joined, j = _join_until(stream, i, ln, col)
-            m = re.fullmatch(r"img\((.*);(.*)\)(\^-?\d+)?", joined)
+            m = re.fullmatch(r"img\((.*);(.*)\)(?:\^(-?\d+))?", joined)
             if not m:
                 raise ParseError("malformed img(...) token", ln, col)
             inner = _parse_twist_tokens(
                 surface, [(t, ln, col) for t in m.group(1).split()])
-            cb, _, _ = m.group(2).strip(), ln, col
-            curve = DerivedCurve(_curve_of_token(cb, ln, col), inner)
-            k = int(m.group(3)[1:]) if m.group(3) else 1
-            sign = 1 if k > 0 else -1
-            letters.extend([(curve, sign)] * abs(k))
+            curve = DerivedCurve(_curve_of_token(m.group(2).strip(), ln, col),
+                                 inner)
+            letters.extend(_repeat(curve, _exponent(m.group(3), ln, col)))
             i = j + 1
             continue
         base, k = _split_power(tok, ln, col)
-        curve = _curve_of_token(base, ln, col)
-        sign = 1 if k > 0 else -1
-        letters.extend([(curve, sign)] * abs(k))
+        letters.extend(_repeat(_curve_of_token(base, ln, col), k))
         i += 1
-    return TwistWord(surface, tuple(letters))
+    return TwistWord(surface, letters)
 
 
 def _join_until(stream, i, ln, col):
@@ -261,23 +292,24 @@ def _parse_swap(params, toks) -> SwapWord:
         if tok.startswith(("rhoA(", "sub(")):
             joined, j = _join_until(stream, i, ln, col)
             i = j + 1
-            m = re.fullmatch(r"rhoA\((\d+),(\d+);(.*)\)(\^-?\d+)?", joined)
+            m = re.fullmatch(r"rhoA\((\d+),(\d+);(.*)\)(?:\^(-?\d+))?",
+                             joined)
             if m:
                 a = _parse_twist_tokens(
                     sub, [(t, ln, col) for t in m.group(3).split()])
                 v = SwapWord(layout, ((("sub", int(m.group(1)), a), 1),))
                 kind = ("conj", v, ("rho", int(m.group(1)), int(m.group(2))))
-                k = int(m.group(4)[1:]) if m.group(4) else 1
+                k = _exponent(m.group(4), ln, col)
             else:
-                m = re.fullmatch(r"sub\((.*);\s*F(\d+)\)(\^-?\d+)?", joined)
+                m = re.fullmatch(r"sub\((.*);\s*F(\d+)\)(?:\^(-?\d+))?",
+                                 joined)
                 if not m:
                     raise ParseError("malformed swap token", ln, col)
                 a = _parse_twist_tokens(
                     sub, [(t, ln, col) for t in m.group(1).split()])
                 kind = ("sub", int(m.group(2)), a)
-                k = int(m.group(3)[1:]) if m.group(3) else 1
-            sign = 1 if k > 0 else -1
-            letters.extend([(kind, sign)] * abs(k))
+                k = _exponent(m.group(3), ln, col)
+            letters.extend(_repeat(kind, k))
             continue
         base, k = _split_power(tok, ln, col)
         m = re.fullmatch(r"(rho|delta)\((\d+),(\d+)\)", base)
@@ -291,10 +323,9 @@ def _parse_swap(params, toks) -> SwapWord:
             kind = ("Mb",)
         else:
             raise ParseError(f"unknown swap token {base!r}", ln, col)
-        sign = 1 if k > 0 else -1
-        letters.extend([(kind, sign)] * abs(k))
+        letters.extend(_repeat(kind, k))
         i += 1
-    return SwapWord(layout, tuple(letters))
+    return SwapWord(layout, letters)
 
 
 def _print_swap_letter(kind, sign) -> str:
@@ -360,6 +391,8 @@ def print_document(doc: Document) -> str:
     # composition is right to left in every body; comments are not preserved
     if doc.kind == "braid":
         return _print_braid(doc.value) + "\n"
+    if doc.kind == "framed":
+        return _print_framed(doc.value) + "\n"
     if doc.kind == "twist":
         return _print_twist(doc.value) + "\n"
     if doc.kind == "swap":

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .braid import (BraidWord, StrandMismatch, compose, equal, full_twist,
-                    inverse)
+from .braid import BraidWord, StrandMismatch, compose, equal, full_twist
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def fcompose(*factors: FramedBraid) -> FramedBraid:
 
 
 def finverse(x: FramedBraid) -> FramedBraid:
-    inv = inverse(x.underlying)
+    inv = x.underlying.inverse()
     perm = inv.permutation()
     framings = tuple(-x.framings[perm[i]] for i in range(x.strands))
     return FramedBraid(inv, framings)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import List, Sequence, Tuple
 
 from .surface import HomologyCalculator
@@ -96,42 +95,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
         factors.append(p)
         top += 1
     factors.extend([0] * (min(nr, nc) - len(factors)))
-    return tuple(factors)
-
-
-def smith_normal_form_oracle(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """Independent check: invariant factors from gcds of k x k minors.
-
-    Exponential in the matrix size; intended for small matrices only.
-    """
-    from itertools import combinations
-    m = [list(map(int, r)) for r in rows]
-    if not m or not m[0]:
-        return ()
-    nr, nc = len(m), len(m[0])
-
-    def det(rs, cs):
-        if len(rs) == 1:
-            return m[rs[0]][cs[0]]
-        out = 0
-        sign = 1
-        for k, r in enumerate(rs):
-            out += sign * m[r][cs[0]] * det(rs[:k] + rs[k + 1:], cs[1:])
-            sign = -sign
-        return out
-
-    d_prev = 1
-    factors = []
-    for k in range(1, min(nr, nc) + 1):
-        dk = 0
-        for rs in combinations(range(nr), k):
-            for cs in combinations(range(nc), k):
-                dk = gcd(dk, det(rs, cs))
-        if dk == 0:
-            factors.extend([0] * (min(nr, nc) - len(factors)))
-            break
-        factors.append(dk // d_prev)
-        d_prev = dk
     return tuple(factors)
 
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .braid import (BraidWord, band, compose, equal, full_twist, half_twist,
-                    inverse)
+from .braid import BraidWord, band, compose, equal, full_twist, half_twist
 from .surface import (DerivedCurve, HomologyCalculator, SurfaceModel,
-                      TwistWord, chain_curve, compose_twists, twist)
+                      TwistWord, chain_curve, twist)
 
 
 class CertificationError(RuntimeError):
@@ -37,8 +36,7 @@ def lift(w: BraidWord, surface: SurfaceModel | None = None) -> TwistWord:
     elif surface.genus != g or surface.boundary != 2:
         raise ValueError(f"braid on {w.strands} strands lifts to "
                          f"Sigma_{g}^2, not the given surface")
-    return TwistWord(surface, tuple(
-        (chain_curve(l.index), l.sign) for l in w.letters))
+    return TwistWord(surface, ((chain_curve(i), s) for i, s in w.letters))
 
 
 def lift_band(core: int, conjugator: BraidWord,
@@ -68,9 +66,8 @@ def swap_braid_target(gp: int) -> BraidWord:
         raise ValueError("swap surfaces need g' >= 1")
     h = 2 * gp + 2
     n = 2 * h
-    return compose(half_twist(n),
-                   inverse(block_full_twist(n, 1, h)),
-                   inverse(block_full_twist(n, h + 1, n)))
+    return compose(half_twist(n), block_full_twist(n, 1, h).inverse(),
+                   block_full_twist(n, h + 1, n).inverse())
 
 
 def swap_bands(gp: int, offset: int = 0, strands: int | None = None
@@ -128,7 +125,7 @@ def lifted_swap_factorization(gp: int) -> TwistWord:
     surface = SurfaceModel(2 * gp + 1, 2)
     parts = [lift_band(core, conj, surface)
              for core, conj in rho_band_factorization(gp)]
-    return compose_twists(*parts)
+    return compose(*parts)
 
 
 def verify_delta_square_lift(g: int) -> bool:

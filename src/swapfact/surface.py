@@ -14,15 +14,16 @@ as braid words.  All arithmetic is exact (Python ints).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
+
+from .words import ContextMismatch, Word
 
 Vector = Tuple[int, ...]
 Matrix = Tuple[Vector, ...]
 
 
-class SurfaceMismatch(ValueError):
+class SurfaceMismatch(ContextMismatch):
     """Raised when combining twist words on different surfaces."""
 
 
@@ -159,75 +160,25 @@ def _base_curve_table(surface: SurfaceModel) -> Dict[tuple, Vector]:
     return table
 
 
-class TwistWord:
-    """A word in Dehn twists about curves on a fixed surface.
+class TwistWord(Word):
+    """A word in Dehn twists on a fixed surface; letters are (curve, sign)
+    and the rightmost letter acts first."""
 
-    letters is a tuple of (curve, sign); the rightmost letter acts first.
-    Instances are immutable and hashable so that derived-curve classes can
-    be memoized on the literal letter sequence.
-    """
+    __slots__ = ()
+    _mismatch = SurfaceMismatch
 
-    __slots__ = ("surface", "letters", "_hash")
+    @property
+    def surface(self) -> SurfaceModel:
+        return self.context
 
-    def __init__(self, surface: SurfaceModel,
-                 letters: Iterable[tuple] = ()):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "letters", tuple(letters))
-        object.__setattr__(self, "_hash", None)
-        for curve, sign in self.letters:
-            if sign not in (1, -1):
-                raise ValueError("twist sign must be +1 or -1")
-
-    def __setattr__(self, *a):
-        raise AttributeError("TwistWord is immutable")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return (isinstance(other, TwistWord)
-                and self.surface == other.surface
-                and self.letters == other.letters)
-
-    def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.surface, self.letters))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self):
-        return f"TwistWord({self.surface.genus},{self.surface.boundary};" \
-               f"{len(self.letters)} letters)"
-
-    def __mul__(self, other: "TwistWord") -> "TwistWord":
-        return compose_twists(self, other)
-
-    def inverse(self) -> "TwistWord":
-        return TwistWord(self.surface,
-                         tuple((c, -s) for c, s in reversed(self.letters)))
-
-    def power(self, k: int) -> "TwistWord":
-        base = self if k >= 0 else self.inverse()
-        return TwistWord(self.surface, base.letters * abs(k))
-
-    def is_positive(self) -> bool:
-        return all(s == 1 for _, s in self.letters)
+    def _conjugate(self, v: "TwistWord", curve):
+        if isinstance(curve, DerivedCurve):
+            return DerivedCurve(curve.base, v * curve.conjugator)
+        return DerivedCurve(curve, v)
 
 
 def twist(surface: SurfaceModel, curve, sign: int = 1) -> TwistWord:
     return TwistWord(surface, ((curve, sign),))
-
-
-def compose_twists(*words: TwistWord) -> TwistWord:
-    if not words:
-        raise ValueError("compose_twists needs at least one word")
-    surf = words[0].surface
-    for w in words:
-        if w.surface != surf:
-            raise SurfaceMismatch("twist words live on different surfaces")
-    return TwistWord(surf, tuple(itertools.chain.from_iterable(
-        w.letters for w in words)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +190,7 @@ class HomologyCalculator:
 
     Extra named-curve classes (e.g. a layout's subsurface tables) can be
     supplied at construction.  Derived-curve classes are memoized on the
-    literal conjugator letters.
+    base tag and the conjugator word, whose hash is cached.
     """
 
     def __init__(self, surface: SurfaceModel,
@@ -259,7 +210,7 @@ class HomologyCalculator:
             except KeyError:
                 raise UnknownCurve(f"{curve.tag} not on this surface") from None
         if isinstance(curve, DerivedCurve):
-            key = (curve.base.tag, curve.conjugator.letters)
+            key = (curve.base.tag, curve.conjugator)
             hit = self._derived_memo.get(key)
             if hit is None:
                 base = self.curve_class(curve.base)

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from .framed import (FramedBraid, boundary_multitwist_framed, fcompose,
                      finverse, framed_identity, m_framed, rho_framed)
 from .lift import block_half_twist, lift
 from .surface import (DerivedCurve, HomologyCalculator, NamedCurve,
-                      SurfaceModel, TwistWord, UnknownCurve, compose_twists,
-                      twist)
+                      SurfaceModel, TwistWord, UnknownCurve, twist)
+from .words import Word, compose
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def embed(word: TwistWord, i: int, layout: SurfaceLayout) -> TwistWord:
                             embed(curve.conjugator, i, layout))
 
     return TwistWord(layout.ambient_model(),
-                     tuple((embed_curve(c), s) for c, s in word.letters))
+                     ((embed_curve(c), s) for c, s in word.letters))
 
 
 # ---------------------------------------------------------------------------
@@ -143,44 +143,18 @@ def embed(word: TwistWord, i: int, layout: SurfaceLayout) -> TwistWord:
 #   ('conj', V, kind)        V . letter(kind) . V^-1 for a SwapWord V
 
 
-class SwapWord:
-    """A word in swap-map letters on a fixed layout; immutable, rightmost
-    letter acts first."""
+class SwapWord(Word):
+    """A word in swap-map letters on a fixed layout; letters are
+    (kind, sign) and the rightmost letter acts first."""
 
-    __slots__ = ("layout", "letters")
+    __slots__ = ()
 
-    def __init__(self, layout: SurfaceLayout, letters: Iterable[tuple] = ()):
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "letters", tuple(letters))
-        for kind, sign in self.letters:
-            if sign not in (1, -1):
-                raise ValueError("letter sign must be +1 or -1")
+    @property
+    def layout(self) -> SurfaceLayout:
+        return self.context
 
-    def __setattr__(self, *a):
-        raise AttributeError("SwapWord is immutable")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return (isinstance(other, SwapWord) and self.layout == other.layout
-                and self.letters == other.letters)
-
-    def __hash__(self):
-        return hash((self.layout, self.letters))
-
-    def __mul__(self, other: "SwapWord") -> "SwapWord":
-        if self.layout != other.layout:
-            raise ValueError("swap words on different layouts")
-        return SwapWord(self.layout, self.letters + other.letters)
-
-    def inverse(self) -> "SwapWord":
-        return SwapWord(self.layout,
-                        tuple((k, -s) for k, s in reversed(self.letters)))
-
-    def power(self, k: int) -> "SwapWord":
-        base = self if k >= 0 else self.inverse()
-        return SwapWord(self.layout, base.letters * abs(k))
+    def _conjugate(self, v: "SwapWord", kind: tuple) -> tuple:
+        return ("conj", v, kind)
 
 
 def swap_letter(layout: SurfaceLayout, kind: tuple, sign: int = 1) -> SwapWord:
@@ -224,22 +198,9 @@ def _adjacent_rho_expansion(layout: SurfaceLayout, i: int) -> TwistWord:
     letters = []
     from .lift import swap_bands
     for core, conj in swap_bands(gp, offset=off, strands=n):
-        conjugator = compose_twists(vi, lift(conj, surface))
+        conjugator = vi * lift(conj, surface)
         letters.append((DerivedCurve(NamedCurve(("chain", core)), conjugator), 1))
     return TwistWord(surface, tuple(letters))
-
-
-def _conjugate_twistword(v: TwistWord, w: TwistWord) -> TwistWord:
-    """v w v^-1 letter by letter, keeping each letter a single twist."""
-    out = []
-    for curve, sign in w.letters:
-        if isinstance(curve, DerivedCurve):
-            curve = DerivedCurve(curve.base,
-                                 compose_twists(v, curve.conjugator))
-        else:
-            curve = DerivedCurve(curve, v)
-        out.append((curve, sign))
-    return TwistWord(w.surface, tuple(out))
 
 
 def _expand_positive_kind(layout: SurfaceLayout, kind: tuple) -> TwistWord:
@@ -251,41 +212,35 @@ def _expand_positive_kind(layout: SurfaceLayout, kind: tuple) -> TwistWord:
             return _adjacent_rho_expansion(layout, i)
         step = rho(layout, i, i + 1)
         inner = expand(SwapWord(layout, ((("rho", i + 1, j), 1),)))
-        return _conjugate_twistword(expand(step.inverse()), inner)
+        return inner.conjugate_letters(expand(step.inverse()))
     if name == "delta":
         _, i, j = kind
-        return compose_twists(
+        return compose(
             _expand_positive_kind(layout, ("rho", i, j)),
             _expand_positive_kind(layout, ("M", j)),
             _expand_positive_kind(layout, ("M", i)))
     if name == "M":
         _, i = kind
-        return compose_twists(
-            twist(surface, NamedCurve(("subboundary", i, 1))),
-            twist(surface, NamedCurve(("subboundary", i, 2))))
+        return (twist(surface, NamedCurve(("subboundary", i, 1)))
+                * twist(surface, NamedCurve(("subboundary", i, 2))))
     if name == "Mb":
-        return compose_twists(
-            twist(surface, NamedCurve(("boundary", 1))),
-            twist(surface, NamedCurve(("boundary", 2))))
+        return (twist(surface, NamedCurve(("boundary", 1)))
+                * twist(surface, NamedCurve(("boundary", 2))))
     if name == "sub":
         _, i, a_word = kind
         return embed(a_word, i, layout)
     if name == "conj":
         _, v, inner = kind
-        return _conjugate_twistword(expand(v), _expand_positive_kind(layout, inner))
+        return _expand_positive_kind(layout, inner).conjugate_letters(expand(v))
     raise ValueError(f"unknown swap letter kind {kind!r}")
 
 
 def expand(word: SwapWord) -> TwistWord:
     """Twist-word expansion; positive swap letters expand to all-positive
     twist letters and the letter counts are exact bookkeeping."""
-    parts = []
-    for kind, sign in word.letters:
-        base = _expand_positive_kind(word.layout, kind)
-        parts.append(base if sign > 0 else base.inverse())
-    if not parts:
-        return TwistWord(word.layout.ambient_model())
-    return compose_twists(*parts)
+    return compose(TwistWord(word.layout.ambient_model()), *[
+        _expand_positive_kind(word.layout, kind).power(sign)
+        for kind, sign in word.letters])
 
 
 # --- framed shadow ----------------------------------------------------------
@@ -347,10 +302,8 @@ def verify_conjugation_relations(a_word: TwistWord, i: int, j: int,
     def add(name, w1, w2):
         out.append(ConjugationReport(name, calc.verify_homologically(w1, w2)))
 
-    add(f"A_{i} rho = rho A_{j}", compose_twists(ai, r), compose_twists(r, aj))
-    add(f"A_{j} rho = rho A_{i}", compose_twists(aj, r), compose_twists(r, ai))
-    add("rho^A = A_i rho A_i^-1",
-        ra, compose_twists(ai, r, ai.inverse()))
-    add("rho^A = A_j^-1 rho A_j",
-        ra, compose_twists(aj.inverse(), r, aj))
+    add(f"A_{i} rho = rho A_{j}", ai * r, r * aj)
+    add(f"A_{j} rho = rho A_{i}", aj * r, r * ai)
+    add("rho^A = A_i rho A_i^-1", ra, compose(ai, r, ai.inverse()))
+    add("rho^A = A_j^-1 rho A_j", ra, compose(aj.inverse(), r, aj))
     return out

@@ -24,6 +24,7 @@ mislead this module and the package alike; mod2_model.py checks that input
 against the branched-cover picture.
 """
 
+from itertools import combinations
 from math import gcd
 
 from swapfact.surface import DerivedCurve, NamedCurve  # data types only
@@ -158,6 +159,42 @@ def invariant_factors(rows, ncols):
             g = gcd(diag[a], diag[b])
             diag[a], diag[b] = g, diag[a] * diag[b] // g
     return tuple(diag)
+
+
+def smith_normal_form_oracle(rows):
+    """Independent check of swapfact.invariants.smith_normal_form: the
+    invariant factors from gcds of k x k minors.
+
+    Exponential in the matrix size; intended for small matrices only.
+    """
+    m = [list(map(int, r)) for r in rows]
+    if not m or not m[0]:
+        return ()
+    nr, nc = len(m), len(m[0])
+
+    def det(rs, cs):
+        if len(rs) == 1:
+            return m[rs[0]][cs[0]]
+        out = 0
+        sign = 1
+        for k, r in enumerate(rs):
+            out += sign * m[r][cs[0]] * det(rs[:k] + rs[k + 1:], cs[1:])
+            sign = -sign
+        return out
+
+    d_prev = 1
+    factors = []
+    for k in range(1, min(nr, nc) + 1):
+        dk = 0
+        for rs in combinations(range(nr), k):
+            for cs in combinations(range(nc), k):
+                dk = gcd(dk, det(rs, cs))
+        if dk == 0:
+            factors.extend([0] * (min(nr, nc) - len(factors)))
+            break
+        factors.append(dk // d_prev)
+        d_prev = dk
+    return tuple(factors)
 
 
 def _bezout(a, b):

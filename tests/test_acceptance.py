@@ -13,7 +13,7 @@ import random
 import time
 
 from swapfact.braid import (BraidWord, compose, dynnikov_equal, equal,
-                            full_twist, half_twist, inverse)
+                            full_twist, half_twist)
 from swapfact.constructions import (boundary_multitwist_factorization,
                                     commutator_relation, extend_to_genus,
                                     extended_calculator, make_psi, phi,
@@ -23,12 +23,12 @@ from swapfact.dsl import parse, print_document
 from swapfact.framed import verify_swap_braid_relations
 from swapfact.invariants import (b1_of_total_space, endo_signature,
                                  euler_closed, hyperelliptic_obstruction,
-                                 smith_normal_form, smith_normal_form_oracle)
+                                 smith_normal_form)
 from swapfact.lift import band_word, rho_band_factorization, swap_braid_target
-from swapfact.surface import HomologyCalculator, SurfaceModel, compose_twists
+from swapfact.surface import HomologyCalculator, SurfaceModel
 from swapfact.swaps import SurfaceLayout
 
-from homology_oracle import first_homology
+from homology_oracle import first_homology, smith_normal_form_oracle
 from mod2_model import h1_dimension, matches_blocks, vanishing_cycles
 
 
@@ -80,7 +80,7 @@ def test_criterion_02_garside_structure():
         ft = full_twist(n)
         for i in range(1, n):
             g = BraidWord.from_ints(n, [i])
-            ok &= equal(compose(d, g, inverse(d)),
+            ok &= equal(compose(d, g, d.inverse()),
                         BraidWord.from_ints(n, [n - i]))
             ok &= equal(compose(ft, g), compose(g, ft))
     assert report("2. Artin/far-commutation/Delta-reversal/centrality "
@@ -114,7 +114,7 @@ def test_criterion_05_commutator_relation():
     ok = len(word_T(surface)) == 10
     for m in (1, 2, 3):
         lhs, rhs = commutator_relation(m, surface)
-        ok &= calc.is_identity_action(compose_twists(lhs, rhs))
+        ok &= calc.is_identity_action(compose(lhs, rhs))
         boundary_letters = sum(
             1 for w in (lhs, rhs) for c, _ in w.letters
             if getattr(c, "tag", ("",))[0] == "boundary")

@@ -1,11 +1,15 @@
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from swapfact.braid import BraidWord
 from swapfact.cli import main
-from swapfact.dsl import ParseError, parse, print_document
+from swapfact.dsl import (MAX_POWER, Document, ParseError, parse,
+                          print_document)
+from swapfact.framed import FramedBraid
 
 
 def run(args, capsys):
@@ -49,6 +53,28 @@ class TestDSL:
     def test_framed_evaluates(self):
         d = parse("@framed n=4\nrho(1,2) rho(1,2)")
         assert d.value.framings == (-1, -1, 0, 0)
+
+    def test_framed_round_trip(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            ints = [rng.choice([1, -1]) * rng.randint(1, n - 1)
+                    for _ in range(rng.randint(0, 12) if n > 1 else 0)]
+            bound = rng.choice([3, 3 * MAX_POWER])
+            x = FramedBraid(BraidWord.from_ints(n, ints),
+                            tuple(rng.randint(-bound, bound) for _ in range(n)))
+            # equality compares the underlying letters, not only the braid
+            assert parse(print_document(Document("framed", x))).value == x
+
+    def test_framed_printer_splits_large_powers(self):
+        x = FramedBraid(BraidWord(2), (2 * MAX_POWER + 1, 0))
+        text = print_document(Document("framed", x))
+        assert text.split() == ["@framed", "n=2", f"M(1)^{MAX_POWER}",
+                                f"M(1)^{MAX_POWER}", "M(1)"]
+
+    def test_power_at_cap_expands(self):
+        d = parse(f"@braid n=3\nb1^-{MAX_POWER}")
+        assert d.value.to_ints() == (-1,) * MAX_POWER
 
     def test_rhoA(self):
         d = parse("@swap l=0\nrhoA(1,3; c1 c2^-1) M(2) Mb^-1")
@@ -98,6 +124,47 @@ class TestCLI:
         code, out, _ = run(["verify", str(a), str(b), "--tier", "homology"],
                            capsys)
         assert code == 3 and "homology cannot distinguish" in out
+
+    def test_verify_reads_a_generated_boundary_file(self, tmp_path, capsys):
+        # the generated word names subsurface curves of the layout, which
+        # the verify command must know to read the file at all
+        bdry, multitwist = tmp_path / "bdry.txt", tmp_path / "mt.txt"
+        assert run(["generate", "boundary", "--m", "0", "--l", "0", "-o",
+                    str(bdry)], capsys)[0] == 0
+        multitwist.write_text("@twist g=11 s=2\ndelta1 delta2\n")
+        code, out, _ = run(["verify", str(bdry), str(multitwist), "--tier",
+                            "homology"], capsys)
+        assert code == 3 and "tier-insufficient" in out
+
+    @pytest.mark.parametrize("command", [["invariants", "{f}"],
+                                         ["verify", "{f}", "{f}"]])
+    def test_unknown_curve_exit_1(self, tmp_path, capsys, command):
+        f = tmp_path / "c7.txt"
+        f.write_text("@twist g=2 s=2\nc7\n")
+        code, _, err = run([a.format(f=f) for a in command], capsys)
+        assert code == 1 and "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "@braid n=3\nb1^{k}",
+        "@framed n=4\nM(2)^{k}",
+        "@twist g=2 s=2\nc1^-{k}",
+        "@twist g=2 s=2\nimg(c1; c2)^{k}",
+        "@swap l=0\nrho(1,2)^{k}",
+        "@swap l=0\nsub(c1; F2)^{k}",
+        "@swap l=0\nrhoA(1,3; c1)^{k}",
+    ])
+    def test_power_over_cap_exit_1_without_expanding(self, tmp_path, capsys,
+                                                     text):
+        f = tmp_path / "w.txt"
+        f.write_text(text.format(k=1_000_000) + "\n")
+        tracemalloc.start()
+        try:
+            code, _, err = run(["verify", str(f), str(f)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and "exceeds the cap" in err
+        assert peak < 2_000_000
 
     def test_verify_homology_consistent_exit_0(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

@@ -10,8 +10,9 @@ from swapfact.constructions import (PositiveFactorization,
                                     verify_boundary_factorization, word_T)
 from swapfact.framed import boundary_multitwist_framed, framed_equal
 from swapfact.surface import (HomologyCalculator, NamedCurve, SurfaceModel,
-                              compose_twists, twist)
+                              twist)
 from swapfact.swaps import SurfaceLayout, expand, rho, shadow
+from swapfact.words import compose
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ class TestCommutatorRelation:
         assert len(t) == 10 and t.is_positive()
         assert all(c.tag[0] == "chain" and c.tag[1] in (1, 2, 3)
                    for c, _ in t.letters)
-        rhs = compose_twists(
+        rhs = compose(
             twist(s, NamedCurve(("chain", 1)), -1),
             twist(s, NamedCurve(("dcurve", 1))),
             twist(s, NamedCurve(("dcurve", 2))),
@@ -65,7 +66,7 @@ class TestCommutatorRelation:
     def test_relation_homologically_trivial(self, genus2, m):
         s, calc = genus2
         lhs, rhs = commutator_relation(m, s)
-        assert calc.is_identity_action(compose_twists(lhs, rhs))
+        assert calc.is_identity_action(compose(lhs, rhs))
         assert len(lhs) == 10 * m and lhs.is_positive()
 
     @pytest.mark.parametrize("m", [1, 3])
@@ -141,18 +142,18 @@ class TestInsertEqualsAppend:
         assert framed_equal(shadow(tilde * base), shadow(full))
         calc = lay.calculator
         assert calc.verify_homologically(
-            compose_twists(expand(tilde), expand(base)), expand(full))
+            compose(expand(tilde), expand(base)), expand(full))
 
     def test_twist_level(self):
         s = SurfaceModel(2, 2)
         calc = HomologyCalculator(s)
-        base = compose_twists(*[twist(s, NamedCurve(("chain", k)))
-                                for k in (1, 2, 3)])
+        base = compose(*[twist(s, NamedCurve(("chain", k)))
+                         for k in (1, 2, 3)])
         ins = [(2, (NamedCurve(("chain", 5)), 1)),
                (2, (NamedCurve(("chain", 4)), 1))]
         tilde, full = insert_equals_append(base, ins)
         assert tilde.is_positive() and len(tilde) == 2
-        assert calc.verify_homologically(compose_twists(tilde, base), full)
+        assert calc.verify_homologically(compose(tilde, base), full)
 
     def test_negative_insertion_rejected(self):
         lay = SurfaceLayout(0)
@@ -163,7 +164,7 @@ class TestInsertEqualsAppend:
         s, calc = genus2
         rng = random.Random(31)
         for _ in range(15):
-            base = compose_twists(*[
+            base = compose(*[
                 twist(s, NamedCurve(("chain", rng.randint(1, 5))),
                       rng.choice([1, -1]))
                 for _ in range(rng.randint(1, 6))])
@@ -171,7 +172,7 @@ class TestInsertEqualsAppend:
                     (NamedCurve(("chain", rng.randint(1, 5))), 1))
                    for _ in range(rng.randint(1, 3))]
             tilde, full = insert_equals_append(base, ins)
-            assert calc.verify_homologically(compose_twists(tilde, base), full)
+            assert calc.verify_homologically(compose(tilde, base), full)
 
 
 class TestBoundaryFactorization:

@@ -10,12 +10,14 @@ from swapfact.invariants import (b1_of_total_space, endo_signature,
                                  euler_closed, euler_filling,
                                  fibration_invariants,
                                  hyperelliptic_obstruction,
-                                 smith_normal_form, smith_normal_form_oracle)
+                                 smith_normal_form)
 from swapfact.surface import (HomologyCalculator, SurfaceModel,
-                              chain_curve, compose_twists, twist)
+                              chain_curve, twist)
 from swapfact.swaps import SurfaceLayout
+from swapfact.words import compose
 
-from homology_oracle import first_homology, invariant_factors, relations
+from homology_oracle import (first_homology, invariant_factors, relations,
+                             smith_normal_form_oracle)
 from mod2_model import (Mod2Model, from_chain_class, h1_dimension,
                         insertion_table_assembles, matches_blocks,
                         vanishing_cycles)
@@ -100,8 +102,8 @@ class TestB1:
         # (t_c1...t_c5)^6 closes to the standard genus-2 fibration, b1 = 0
         s = SurfaceModel(2, 2)
         calc = HomologyCalculator(s)
-        w = compose_twists(*[twist(s, chain_curve(k))
-                             for k in range(1, 6)]).power(6)
+        w = compose(*[twist(s, chain_curve(k))
+                      for k in range(1, 6)]).power(6)
         fact = PositiveFactorization(w, None, "chain", ("chain",) * len(w))
         out = b1_of_total_space(fact, calc, cap=True)
         assert out.b1 == 0 and out.torsion == ()
@@ -112,11 +114,11 @@ class TestB1:
         s = SurfaceModel(2, 2)
         calc = HomologyCalculator(s)
         from swapfact.surface import DerivedCurve, TwistWord
-        base = compose_twists(*[twist(s, chain_curve(k))
-                                for k in range(1, 6)]).power(6)
+        base = compose(*[twist(s, chain_curve(k))
+                         for k in range(1, 6)]).power(6)
         letters = list(base.letters)
-        conj = compose_twists(twist(s, chain_curve(2)),
-                              twist(s, chain_curve(2), -1))
+        conj = compose(twist(s, chain_curve(2)),
+                       twist(s, chain_curve(2), -1))
         letters[0] = (DerivedCurve(letters[0][0], conj), 1)
         changed = TwistWord(s, tuple(letters))
         f1 = PositiveFactorization(base, None, "a", ("x",) * len(base))

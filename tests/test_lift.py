@@ -1,7 +1,7 @@
 import pytest
 
 from swapfact.braid import (BraidWord, band, compose, dynnikov_equal, equal,
-                            full_twist, half_twist, inverse)
+                            full_twist, half_twist)
 from swapfact.lift import (CertificationError, band_word, block_half_twist,
                            lift, lift_band, lifted_swap_factorization,
                            rho_band_factorization, swap_bands,
@@ -98,10 +98,10 @@ class TestSwapBands:
         w = band_word(bands)
         lo, hi = 7, 18
         target = compose(block_half_twist(24, lo, hi),
-                         inverse(compose(block_half_twist(24, 7, 12),
-                                         block_half_twist(24, 7, 12))),
-                         inverse(compose(block_half_twist(24, 13, 18),
-                                         block_half_twist(24, 13, 18))))
+                         compose(block_half_twist(24, 7, 12),
+                                 block_half_twist(24, 7, 12)).inverse(),
+                         compose(block_half_twist(24, 13, 18),
+                                 block_half_twist(24, 13, 18)).inverse())
         assert dynnikov_equal(w, target)
 
     def test_bad_family_raises(self):

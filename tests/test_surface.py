@@ -5,8 +5,8 @@ import pytest
 from swapfact.surface import (DerivedCurve, HomologyCalculator, NamedCurve,
                               SurfaceMismatch, SurfaceModel, TwistWord,
                               UnknownCurve, boundary_curve, chain_curve,
-                              compose_twists, d_curve, identity_matrix,
-                              mat_mul, twist)
+                              d_curve, identity_matrix, mat_mul, twist)
+from swapfact.words import compose
 
 
 @pytest.fixture
@@ -16,7 +16,7 @@ def genus2():
 
 
 def chain_word(s, ks):
-    return compose_twists(*[twist(s, chain_curve(k)) for k in ks])
+    return compose(*[twist(s, chain_curve(k)) for k in ks])
 
 
 class TestModel:
@@ -112,14 +112,14 @@ class TestActions:
         s, calc = genus2
         u = chain_word(s, [1, 2])
         v = chain_word(s, [3, 4, 5])
-        lhs = calc.homology_action(compose_twists(u, v))
+        lhs = calc.homology_action(compose(u, v))
         rhs = mat_mul(calc.homology_action(u), calc.homology_action(v))
         assert lhs == rhs
 
     def test_action_of_inverse(self, genus2):
         s, calc = genus2
-        w = compose_twists(twist(s, chain_curve(1)),
-                           twist(s, d_curve(1), -1))
+        w = compose(twist(s, chain_curve(1)),
+                    twist(s, d_curve(1), -1))
         assert mat_mul(calc.homology_action(w),
                        calc.homology_action(w.inverse())) \
             == identity_matrix(5)
@@ -133,7 +133,7 @@ class TestRelations:
     def test_chain_relation_genus2(self, genus2):
         s, calc = genus2
         lhs = chain_word(s, [1, 2, 3]).power(4)
-        rhs = compose_twists(twist(s, d_curve(1)), twist(s, d_curve(2)))
+        rhs = compose(twist(s, d_curve(1)), twist(s, d_curve(2)))
         assert calc.verify_homologically(lhs, rhs)
 
     def test_full_chain_relation(self, genus2):
@@ -144,8 +144,8 @@ class TestRelations:
     def test_big_chain_relations(self, g):
         s = SurfaceModel(g, 2)
         calc = HomologyCalculator(s)
-        word = compose_twists(*[twist(s, chain_curve(k))
-                                for k in range(1, 2 * g + 2)])
+        word = compose(*[twist(s, chain_curve(k))
+                         for k in range(1, 2 * g + 2)])
         assert calc.is_identity_action(word.power(2 * g + 2))
 
     def test_distinct_transvections_refuted(self, genus2):

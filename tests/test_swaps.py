@@ -1,11 +1,11 @@
 import pytest
 
 from swapfact.framed import framed_equal, framed_identity
-from swapfact.surface import (NamedCurve, TwistWord, compose_twists,
-                              twist)
+from swapfact.surface import NamedCurve, TwistWord, twist
 from swapfact.swaps import (SurfaceLayout, SwapWord, embed, expand, rho,
                             rho_conjugated, shadow, swap_letter,
                             verify_conjugation_relations)
+from swapfact.words import compose
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ class TestEmbed:
         a = sub_twist(layout, ("chain", 2))
         b = sub_twist(layout, ("dcurve", 1), -1)
         from swapfact.surface import mat_mul
-        assert calc.homology_action(embed(compose_twists(a, b), 3, layout)) \
+        assert calc.homology_action(embed(compose(a, b), 3, layout)) \
             == mat_mul(calc.homology_action(embed(a, 3, layout)),
                        calc.homology_action(embed(b, 3, layout)))
 
@@ -61,8 +61,8 @@ class TestEmbed:
         calc = layout.calculator
         a = sub_twist(layout, ("chain", 1))
         r = expand(rho(layout, 1, 2))
-        lhs = compose_twists(embed(a, 1, layout), r)
-        rhs = compose_twists(r, embed(a, 2, layout))
+        lhs = compose(embed(a, 1, layout), r)
+        rhs = compose(r, embed(a, 2, layout))
         assert calc.verify_homologically(lhs, rhs)
 
 
@@ -184,7 +184,7 @@ class TestConjugationRelations:
         r = expand(rho(layout, 1, 2))
         a1 = embed(a, 1, layout)
         assert not calc.verify_homologically(
-            compose_twists(a1, r), compose_twists(r, a1))
+            compose(a1, r), compose(r, a1))
 
     def test_rho_conjugated_expansion_positive(self, layout):
         w = expand(rho_conjugated(layout, 1, 2, sub_twist(layout, ("chain", 1))))
