@@ -83,14 +83,19 @@ class BraidWord(Word):
         return tuple(out)
 
 
+def block_half_twist(n: int, lo: int, hi: int) -> BraidWord:
+    """Half twist of the consecutive strands lo..hi inside B_n."""
+    ints: list[int] = []
+    for top in range(hi - 1, lo - 1, -1):
+        ints.extend(range(lo, top + 1))
+    return BraidWord.from_ints(n, ints)
+
+
 def half_twist(n: int) -> BraidWord:
     """The Garside half-twist (b1...b_{n-1})(b1...b_{n-2})...(b1)."""
     if n < 2:
         raise ValueError("half_twist needs n >= 2")
-    ints: list[int] = []
-    for top in range(n - 1, 0, -1):
-        ints.extend(range(1, top + 1))
-    return BraidWord.from_ints(n, ints)
+    return block_half_twist(n, 1, n)
 
 
 def full_twist(n: int) -> BraidWord:

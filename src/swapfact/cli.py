@@ -27,7 +27,7 @@ from .dsl import Document, ParseError, parse, print_document
 from .framed import framed_equal
 from .invariants import fibration_invariants
 from .lift import lift as branched_lift
-from .surface import SurfaceModel, UnknownCurve, mat_vec
+from .surface import SurfaceModel, UnknownCurve, identity_matrix
 from .swaps import SurfaceLayout, expand, shadow
 
 REPORT_SCHEMA = 1
@@ -179,8 +179,9 @@ def _cmd_verify(args) -> int:
 def _radical_signature(word, calc):
     """Signed count of letters whose class lies in the radical of the
     intersection form: exactly what the homology action cannot see."""
+    pair, basis = calc.surface.pairing, identity_matrix(calc.surface.rank)
     return sum(sign for curve, sign in word.letters
-               if not any(mat_vec(calc.J, calc.curve_class(curve))))
+               if not any(pair(b, calc.curve_class(curve)) for b in basis))
 
 
 def _cmd_invariants(args) -> int:

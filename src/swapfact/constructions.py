@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .framed import boundary_multitwist_framed, framed_equal
 from .surface import (DerivedCurve, HomologyCalculator, NamedCurve,
-                      SurfaceModel, TwistWord, mat_vec, twist)
+                      SurfaceModel, TwistWord, twist)
 from .swaps import SurfaceLayout, SwapWord, expand, rho, shadow
 from .words import Word, compose
 
@@ -76,8 +76,7 @@ def _psi_search(surface: SurfaceModel, max_depth: int, seed: int) -> TwistWord:
     gens = [(tag, sign) for tag in _PSI_GEN_TAGS for sign in (1, -1)]
     k = seed % len(gens)
     gens = gens[k:] + gens[:k]
-    mats = {(tag, sign): calc.twist_action(NamedCurve(tag), sign)
-            for tag, sign in gens}
+    letters = {g: twist(surface, NamedCurve(g[0]), g[1]) for g in gens}
 
     c1 = calc.curve_class(NamedCurve(("chain", 1)))
     d1 = calc.curve_class(NamedCurve(("dcurve", 1)))
@@ -115,8 +114,8 @@ def _psi_search(surface: SurfaceModel, max_depth: int, seed: int) -> TwistWord:
         new = []
         for st in ffr:
             for g in gens:
-                m = mats[g]
-                nx = (mat_vec(m, st[0]), mat_vec(m, st[1]))
+                t = letters[g]
+                nx = (calc.apply_word(t, st[0]), calc.apply_word(t, st[1]))
                 if nx not in fwd:
                     fwd[nx] = (st, g)
                     new.append(nx)
@@ -127,8 +126,8 @@ def _psi_search(surface: SurfaceModel, max_depth: int, seed: int) -> TwistWord:
         new = []
         for st in bfr:
             for tag, sign in gens:
-                m = mats[(tag, -sign)]
-                nx = (mat_vec(m, st[0]), mat_vec(m, st[1]))
+                t = letters[(tag, -sign)]
+                nx = (calc.apply_word(t, st[0]), calc.apply_word(t, st[1]))
                 if nx not in bwd:
                     bwd[nx] = (st, (tag, sign))
                     new.append(nx)

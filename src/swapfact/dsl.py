@@ -8,11 +8,12 @@ A document is a header line followed by whitespace-separated tokens:
     @twist g=11 s=2     c3 d1^-1 delta1 c(2,4) img(c1 c2; c3)
     @swap l=0           rho(2,4) rhoA(1,3; c1 c2^-1) sub(c1; F2) M(1) Mb
 
-`#` starts a comment running to the end of the line.  Tokens accept `^k`
-and `^-k` suffixes with |k| <= MAX_POWER.  Printing is canonical (single
-spaces, no comments) and parse(print(d)) == d.  Composition is right to
-left: the rightmost token acts first, annotated in printed headers to
-prevent convention drift.
+`#` starts a comment running to the end of the line.  Header values n=,
+g= and l= are at most MAX_HEADER.  Tokens accept `^k` and `^-k` suffixes
+with |k| <= MAX_POWER.  Printing is canonical (single spaces, no comments)
+and parse(print(d)) == d.  Composition is right to left: the rightmost
+token acts first, annotated in printed headers to prevent convention
+drift.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ _TOKEN = re.compile(r"\S+")
 # The largest |k| a ^k suffix may carry.  Powers are expanded into letters
 # while parsing, so the cap bounds the memory one token can ask for.
 MAX_POWER = 1000
+
+# The largest n=, g= or l= a header may carry.  They size what the tokens
+# are read into (strands, surface rank, layout) before any token is read,
+# so the cap bounds that memory.
+MAX_HEADER = 100
 
 
 def _tokenize(text: str):
@@ -97,7 +103,11 @@ def _parse_header(tokens, text):
     for tok2, ln2, col2 in tokens:
         m = re.fullmatch(r"(\w+)=(-?\d+)", tok2)
         if m and ln2 == ln and not rest:
-            params[m.group(1)] = int(m.group(2))
+            key, value = m.group(1), int(m.group(2))
+            if key in ("n", "g", "l") and value > MAX_HEADER:
+                raise ParseError(f"{key}={value} exceeds the cap "
+                                 f"{MAX_HEADER}", ln2, col2)
+            params[key] = value
         else:
             rest.append((tok2, ln2, col2))
     return kind, params, rest

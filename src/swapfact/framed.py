@@ -15,7 +15,7 @@ half-twist lift uses n = 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .braid import BraidWord, StrandMismatch, compose, equal, full_twist
 
@@ -45,10 +45,6 @@ class FramedBraid:
 
 def framed_identity(n: int) -> FramedBraid:
     return FramedBraid(BraidWord(n), (0,) * n)
-
-
-def pure_framing(framings: Sequence[int]) -> FramedBraid:
-    return FramedBraid(BraidWord(len(framings)), tuple(framings))
 
 
 def m_framed(i: int, n: int = 4) -> FramedBraid:
@@ -141,22 +137,6 @@ def framed_equal(x: FramedBraid, y: FramedBraid) -> bool:
     if x.framings != y.framings:
         return False
     return equal(x.underlying, y.underlying)
-
-
-def strand_swap_counts(pairs: Sequence[Tuple[int, int]], n: int = 4
-                       ) -> Tuple[int, ...]:
-    """How many swap letters each strand participates in, tracking strand
-    positions through the word (rightmost letter first)."""
-    where = list(range(n))          # where[s] = current slot of strand s
-    counts = [0] * n
-    for (i, j) in reversed(list(pairs)):
-        a, b = i - 1, j - 1
-        sa = where.index(a)
-        sb = where.index(b)
-        counts[sa] += 1
-        counts[sb] += 1
-        where[sa], where[sb] = where[sb], where[sa]
-    return tuple(counts)
 
 
 @dataclass(frozen=True)

@@ -122,17 +122,10 @@ def b1_of_total_space(fact: PositiveFactorization,
         if surface.boundary != 2:
             raise ValueError("capping expects a two-boundary fiber")
         e = surface.boundary_class()
-        # basis matrix with first column e (unimodular since e_1 = 1);
-        # express classes in it and drop the e-coordinate
-        basis = [[e[i] if j == 0 else int(i == j)
-                  for j in range(r)] for i in range(r)]
-        from .surface import mat_inv_unimodular, mat_vec
-        binv = mat_inv_unimodular(tuple(map(tuple, basis)))
-        projected = []
-        for v in classes:
-            w = mat_vec(binv, v)
-            projected.append(w[1:])
-        classes = projected
+        # coordinates in the basis e, c_2, ..., c_r (unimodular since
+        # e_1 = 1) are v_1 and v_i - e_i v_1; drop the e-coordinate
+        classes = [tuple(x - y * v[0] for x, y in zip(v[1:], e[1:]))
+                   for v in classes]
         rank_ambient = r - 1
     else:
         rank_ambient = r

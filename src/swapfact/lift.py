@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .braid import BraidWord, band, compose, equal, full_twist, half_twist
-from .surface import (DerivedCurve, HomologyCalculator, SurfaceModel,
-                      TwistWord, chain_curve, twist)
+from .braid import (BraidWord, band, block_half_twist, compose, equal,
+                    half_twist)
+from .surface import (DerivedCurve, SurfaceModel, TwistWord, chain_curve,
+                      twist)
 
 
 class CertificationError(RuntimeError):
@@ -45,14 +46,6 @@ def lift_band(core: int, conjugator: BraidWord,
     base = chain_curve(core)
     conj = lift(conjugator, surface)
     return twist(conj.surface, DerivedCurve(base, conj), 1)
-
-
-def block_half_twist(n: int, lo: int, hi: int) -> BraidWord:
-    """Half twist of the consecutive strands lo..hi inside B_n."""
-    ints: list[int] = []
-    for top in range(hi - 1, lo - 1, -1):
-        ints.extend(range(lo, top + 1))
-    return BraidWord.from_ints(n, ints)
 
 
 def block_full_twist(n: int, lo: int, hi: int) -> BraidWord:
@@ -117,28 +110,3 @@ def rho_band_factorization(gp: int) -> List[Tuple[int, BraidWord]]:
                 f"band family for g'={gp} does not multiply to the swap braid")
         _certified[gp] = True
     return bands
-
-
-def lifted_swap_factorization(gp: int) -> TwistWord:
-    """The positive factorization of rho on Sigma_{2g'+1}^2: the lifts of
-    the certified bands, 2g'+2 positive twists about derived curves."""
-    surface = SurfaceModel(2 * gp + 1, 2)
-    parts = [lift_band(core, conj, surface)
-             for core, conj in rho_band_factorization(gp)]
-    return compose(*parts)
-
-
-def verify_delta_square_lift(g: int) -> bool:
-    """delta-hat squared is the boundary multitwist: checked on absolute
-    homology (both act trivially) and exactly on the framed two-cluster
-    shadow."""
-    if g < 1:
-        raise ValueError("need g >= 1")
-    from .framed import FramedBraid, boundary_multitwist_framed, fcompose, framed_equal
-    surface = SurfaceModel(g, 2)
-    calc = HomologyCalculator(surface)
-    lifted = lift(full_twist(2 * g + 2), surface)
-    if not calc.is_identity_action(lifted):
-        return False
-    dhat = FramedBraid(BraidWord.from_ints(2, [1]), (1, 0))
-    return framed_equal(fcompose(dhat, dhat), boundary_multitwist_framed(2))

@@ -3,9 +3,9 @@
 A surface of genus g with two boundary components is modeled on the chain
 basis: H_1 is free of rank 2g+1 on the classes of the chain curves
 c_1, ..., c_{2g+1} (consecutive curves meet once, others are disjoint), so
-the intersection form is the superdiagonal skew matrix.  The two boundary
-classes span the radical: [delta_1] = c_1 + c_3 + ... + c_{2g+1} and
-[delta_2] = -[delta_1].
+the intersection form is <u, v> = sum_i u_i v_{i+1} - u_{i+1} v_i.  The two
+boundary classes span the radical: [delta_1] = c_1 + c_3 + ... + c_{2g+1}
+and [delta_2] = -[delta_1].
 
 Dehn twists act by transvections x -> x + sign*<x, c>*c; a twist word acts
 by the ordered product of its letters' transvections, rightmost first, same
@@ -41,33 +41,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                  for row in a)
 
 
-def mat_vec(a: Matrix, v: Sequence[int]) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def mat_inv_unimodular(a: Matrix) -> Matrix:
-    """Inverse of an integer matrix with determinant +-1 (exact Gauss)."""
-    r = len(a)
-    m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(a)]
-    for col in range(r):
-        piv = next(i for i in range(col, r) if m[i][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        # make pivot +-1 by integer row combinations (Euclid)
-        while abs(m[col][col]) != 1:
-            other = next(i for i in range(col, r)
-                         if i != col and m[i][col] != 0)
-            q = m[col][col] // m[other][col]
-            m[col] = [x - q * y for x, y in zip(m[col], m[other])]
-            m[col], m[other] = m[other], m[col]
-        if m[col][col] == -1:
-            m[col] = [-x for x in m[col]]
-        for i in range(r):
-            if i != col and m[i][col] != 0:
-                q = m[i][col]
-                m[i] = [x - q * y for x, y in zip(m[i], m[col])]
-    return tuple(tuple(row[r:]) for row in m)
-
-
 @dataclass(frozen=True)
 class SurfaceModel:
     """Sigma_g^s with its chain-basis homology data (s in {0, 1, 2})."""
@@ -82,21 +55,14 @@ class SurfaceModel:
     def rank(self) -> int:
         return 2 * self.genus + (1 if self.boundary == 2 else 0)
 
-    def intersection_matrix(self) -> Matrix:
-        # chain pairing: consecutive curves meet once.  For s < 2 the basis
-        # is the first 2g chain classes of the capped surface; their mutual
-        # intersections are unchanged by capping, so the same superdiagonal
-        # form applies (and is nondegenerate there).
-        r = self.rank
-        j = [[0] * r for _ in range(r)]
-        for i in range(r - 1):
-            j[i][i + 1] = 1
-            j[i + 1][i] = -1
-        return tuple(tuple(row) for row in j)
-
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        jv = mat_vec(self.intersection_matrix(), v)
-        return sum(x * y for x, y in zip(u, jv))
+        """<u, v> = sum_i u_i v_{i+1} - u_{i+1} v_i: consecutive chain
+        curves meet once, others are disjoint.  For s < 2 the basis is the
+        first 2g chain classes of the capped surface; their mutual
+        intersections are unchanged by capping, so the same form applies
+        (and is nondegenerate there)."""
+        return (sum(a * b for a, b in zip(u, v[1:]))
+                - sum(a * b for a, b in zip(u[1:], v)))
 
     def boundary_class(self) -> Vector:
         if self.boundary != 2:
@@ -199,9 +165,7 @@ class HomologyCalculator:
         self.table = _base_curve_table(surface)
         if extra_classes:
             self.table.update(extra_classes)
-        self.J = surface.intersection_matrix()
         self._derived_memo: Dict[tuple, Vector] = {}
-        self._action_memo: Dict[TwistWord, Matrix] = {}
 
     def curve_class(self, curve) -> Vector:
         if isinstance(curve, NamedCurve):
@@ -220,8 +184,7 @@ class HomologyCalculator:
         raise TypeError(f"not a curve: {curve!r}")
 
     def _transvect(self, v: Vector, sign: int, x: Vector) -> Vector:
-        jv = mat_vec(self.J, v)
-        coef = sign * sum(a * b for a, b in zip(x, jv))
+        coef = sign * self.surface.pairing(x, v)
         return tuple(a + coef * b for a, b in zip(x, v))
 
     def apply_word(self, w: TwistWord, x: Sequence[int]) -> Vector:
@@ -232,24 +195,12 @@ class HomologyCalculator:
         return x
 
     def twist_action(self, curve, sign: int = 1) -> Matrix:
-        v = self.curve_class(curve)
-        jv = mat_vec(self.J, v)
-        r = self.surface.rank
-        return tuple(tuple((1 if i == j else 0) + sign * v[i] * jv[j]
-                           for j in range(r)) for i in range(r))
+        return self.homology_action(twist(self.surface, curve, sign))
 
     def homology_action(self, w: TwistWord) -> Matrix:
-        hit = self._action_memo.get(w)
-        if hit is not None:
-            return hit
         # act column by column: column j of the matrix is w applied to e_j
-        r = self.surface.rank
-        cols = [self.apply_word(w, tuple(int(i == j) for i in range(r)))
-                for j in range(r)]
-        out = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
-        if len(w.letters) > 8:
-            self._action_memo[w] = out
-        return out
+        return tuple(zip(*(self.apply_word(w, e)
+                           for e in identity_matrix(self.surface.rank))))
 
     def verify_homologically(self, w1: TwistWord, w2: TwistWord) -> bool:
         """Necessary condition for w1 = w2 in the mapping class group: a

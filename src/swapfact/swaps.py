@@ -33,7 +33,7 @@ from typing import Dict, List
 
 from .framed import (FramedBraid, boundary_multitwist_framed, fcompose,
                      finverse, framed_identity, m_framed, rho_framed)
-from .lift import block_half_twist, lift
+from .lift import block_half_twist, lift, rho_band_factorization, swap_bands
 from .surface import (DerivedCurve, HomologyCalculator, NamedCurve,
                       SurfaceModel, TwistWord, UnknownCurve, twist)
 from .words import Word, compose
@@ -189,14 +189,15 @@ def _transport_conjugator(layout: SurfaceLayout, i: int) -> TwistWord:
 @functools.lru_cache(maxsize=None)
 def _adjacent_rho_expansion(layout: SurfaceLayout, i: int) -> TwistWord:
     """Positive expansion of rho_{i,i+1}: the certified bands of the block
-    swap braid, transported by the cluster half twist and lifted."""
+    swap braid, shifted onto clusters i, i+1, transported by the cluster
+    half twist and lifted."""
     gp = layout.subsurface_genus
+    rho_band_factorization(gp)
     n = layout.branch_points
     off = layout.cluster_offset(i)
     vi = _transport_conjugator(layout, i)
     surface = layout.ambient_model()
     letters = []
-    from .lift import swap_bands
     for core, conj in swap_bands(gp, offset=off, strands=n):
         conjugator = vi * lift(conj, surface)
         letters.append((DerivedCurve(NamedCurve(("chain", core)), conjugator), 1))

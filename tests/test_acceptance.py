@@ -2,8 +2,8 @@
 
 Criteria 8b and 8c assert the first homology of the closed total spaces:
 b1 = 0 on the genus-11 family, with torsion Z/9 at m = 0 and none for
-m = 1, 2, and b1 = 2l on the genus 11+4l families.  Each case is checked
-twice more.  homology_oracle.py redoes the integral arithmetic, and
+m = 1, 2, and b1 = 2l on the genus 11+4l families for l = 0..3.  Each case
+is checked twice more.  homology_oracle.py redoes the integral arithmetic, and
 mod2_model.py rebuilds the vanishing cycles mod 2 from the branched-cover
 picture; its dimension of H_1(X; Z/2) bounds b1 from above and rules out
 2-torsion where it is 0.  Every criterion must pass.
@@ -187,12 +187,12 @@ def test_criterion_08b_b1_genus11_family():
 
 def test_criterion_08c_b1_l_families():
     got, oracle, dims = zip(*(first_homology_three_ways(0, l)
-                              for l in (0, 1, 2)))
+                              for l in (0, 1, 2, 3)))
     b1s = [b for b, _ in got]
     even = [sum(1 for d in t if d % 2 == 0) for _, t in got]
-    ok = (got == oracle and b1s == [0, 2, 4] and dims == (0, 2, 4)
+    ok = (got == oracle and b1s == [0, 2, 4, 6] and dims == (0, 2, 4, 6)
           and [b + e for b, e in zip(b1s, even)] == list(dims))
-    assert report("8c. b1 = 2l for l in 0..2; equals the homology oracle; "
+    assert report("8c. b1 = 2l for l in 0..3; equals the homology oracle; "
                   "the mod-2 model gives dim H_1(X; Z/2) = 2l, so b1 <= 2l",
                   ok, f"measured {got}, oracle {oracle}, mod-2 dimensions "
                   f"{dims}")

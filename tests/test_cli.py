@@ -7,8 +7,8 @@ import pytest
 
 from swapfact.braid import BraidWord
 from swapfact.cli import main
-from swapfact.dsl import (MAX_POWER, Document, ParseError, parse,
-                          print_document)
+from swapfact.dsl import (MAX_HEADER, MAX_POWER, Document, ParseError,
+                          parse, print_document)
 from swapfact.framed import FramedBraid
 
 
@@ -165,6 +165,28 @@ class TestCLI:
             tracemalloc.stop()
         assert code == 1 and "exceeds the cap" in err
         assert peak < 2_000_000
+
+    @pytest.mark.parametrize("header", ["@braid n=", "@framed n=",
+                                        "@twist g=", "@swap l="])
+    def test_header_over_cap_exit_1_without_allocating(self, tmp_path, capsys,
+                                                       header):
+        f = tmp_path / "w.txt"
+        f.write_text(f"{header}{10**6}\n")
+        tracemalloc.start()
+        try:
+            code, _, err = run(["verify", str(f), str(f)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and "exceeds the cap" in err
+        assert "Traceback" not in err
+        assert peak < 2_000_000
+
+    def test_header_at_cap_parses(self):
+        assert parse(f"@braid n={MAX_HEADER}\nb1").value.strands == MAX_HEADER
+        assert parse(f"@twist g={MAX_HEADER} s=2\nc1").value.surface.genus \
+            == MAX_HEADER
+        assert parse(f"@swap l={MAX_HEADER}\nMb").value.layout.l == MAX_HEADER
 
     def test_verify_homology_consistent_exit_0(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from swapfact.braid import StrandMismatch
+from swapfact.braid import BraidWord, StrandMismatch
 from swapfact.framed import (FramedBraid, boundary_multitwist_framed,
                              delta_framed, fcompose, finverse, fpower,
                              framed_equal, framed_identity, m_framed,
-                             pure_framing, rho_framed, strand_swap_counts,
-                             verify_swap_braid_relations)
+                             rho_framed, verify_swap_braid_relations)
 
 
 def test_generator_values():
@@ -27,7 +26,8 @@ def test_end_permutation_swaps():
 
 
 def test_pure_framings_add():
-    x = fcompose(pure_framing((1, 0, 0, 0)), pure_framing((0, 1, 0, 0)))
+    x = fcompose(FramedBraid(BraidWord(4), (1, 0, 0, 0)),
+                 FramedBraid(BraidWord(4), (0, 1, 0, 0)))
     assert x.framings == (1, 1, 0, 0) and len(x.underlying) == 0
 
 
@@ -108,11 +108,6 @@ def test_rho_and_delta_framings_differ_by_two():
         rhs = fcompose(delta_framed(i, j), fpower(m_framed(i), -1),
                        fpower(m_framed(j), -1))
         assert framed_equal(lhs, rhs)
-
-
-def test_strand_participation_counts():
-    pairs = [(3, 4), (2, 3), (1, 2)] * 4
-    assert strand_swap_counts(pairs) == (6, 6, 6, 6)
 
 
 def test_swap_relation_suite_passes():

@@ -1,12 +1,31 @@
 import pytest
 
+from swapfact import lift as lift_mod
+from swapfact import swaps as swaps_mod
 from swapfact.braid import (BraidWord, band, compose, dynnikov_equal, equal,
                             full_twist, half_twist)
+from swapfact.framed import (FramedBraid, boundary_multitwist_framed,
+                             fcompose, framed_equal)
 from swapfact.lift import (CertificationError, band_word, block_half_twist,
-                           lift, lift_band, lifted_swap_factorization,
-                           rho_band_factorization, swap_bands,
-                           swap_braid_target, verify_delta_square_lift)
+                           lift, lift_band, rho_band_factorization,
+                           swap_bands, swap_braid_target)
 from swapfact.surface import HomologyCalculator, SurfaceModel
+from swapfact.swaps import SurfaceLayout, expand, rho
+
+
+def verify_delta_square_lift(g: int) -> bool:
+    """delta-hat squared is the boundary multitwist: checked on absolute
+    homology (both act trivially) and exactly on the framed two-cluster
+    shadow."""
+    if g < 1:
+        raise ValueError("need g >= 1")
+    surface = SurfaceModel(g, 2)
+    calc = HomologyCalculator(surface)
+    lifted = lift(full_twist(2 * g + 2), surface)
+    if not calc.is_identity_action(lifted):
+        return False
+    dhat = FramedBraid(BraidWord.from_ints(2, [1]), (1, 0))
+    return framed_equal(fcompose(dhat, dhat), boundary_multitwist_framed(2))
 
 
 def test_lift_letterwise():
@@ -76,7 +95,7 @@ class TestSwapBands:
         for core, conj in bands:
             assert band(core, 0, conj).exponent_sum() == 1
 
-    @pytest.mark.parametrize("gp", [2, 3])
+    @pytest.mark.parametrize("gp", [2, 3, 4])
     def test_certified_against_target(self, gp):
         w = band_word(rho_band_factorization(gp))
         assert equal(w, swap_braid_target(gp))
@@ -90,7 +109,9 @@ class TestSwapBands:
             assert target.exponent_sum() == h
 
     def test_lifted_factorization_positive(self):
-        w = lifted_swap_factorization(2)
+        surface = SurfaceModel(5, 2)
+        w = compose(*[lift_band(core, conj, surface)
+                      for core, conj in rho_band_factorization(2)])
         assert len(w) == 6 and w.is_positive()
 
     def test_offset_family(self):
@@ -105,7 +126,6 @@ class TestSwapBands:
         assert dynnikov_equal(w, target)
 
     def test_bad_family_raises(self):
-        from swapfact import lift as lift_mod
         good = lift_mod.swap_bands
         try:
             lift_mod.swap_bands = lambda gp, offset=0, strands=None: \
@@ -116,3 +136,18 @@ class TestSwapBands:
         finally:
             lift_mod.swap_bands = good
             lift_mod._certified.pop(1, None)
+
+    def test_expansion_refuses_a_bad_family(self, monkeypatch):
+        # the swap expansion certifies the band family before shifting it
+        # onto a pair of clusters, so a wrong family is never expanded
+        good = lift_mod.swap_bands
+        monkeypatch.setattr(
+            lift_mod, "swap_bands", lambda gp, offset=0, strands=None:
+            good(gp, offset, strands)[:-1] + [(1, BraidWord(4 * gp + 4))])
+        monkeypatch.delitem(lift_mod._certified, 2, raising=False)
+        swaps_mod._adjacent_rho_expansion.cache_clear()
+        try:
+            with pytest.raises(CertificationError):
+                expand(rho(SurfaceLayout(0), 1, 2))
+        finally:
+            swaps_mod._adjacent_rho_expansion.cache_clear()

@@ -15,6 +15,12 @@ def genus2():
     return s, HomologyCalculator(s)
 
 
+def chain_matrix(r):
+    """The chain-basis intersection matrix: J[i][i+1] = 1, J[i+1][i] = -1."""
+    return tuple(tuple(int(k == i + 1) - int(i == k + 1) for k in range(r))
+                 for i in range(r))
+
+
 def chain_word(s, ks):
     return compose(*[twist(s, chain_curve(k)) for k in ks])
 
@@ -27,8 +33,20 @@ class TestModel:
 
     def test_intersection_matrix_skew(self, genus2):
         s, _ = genus2
-        j = s.intersection_matrix()
+        j = chain_matrix(s.rank)
         assert all(j[i][k] == -j[k][i] for i in range(5) for k in range(5))
+
+    @pytest.mark.parametrize("r", range(1, 10))
+    def test_pairing_is_the_chain_matrix_form(self, r):
+        s = SurfaceModel(r // 2, 2 if r % 2 else 0)
+        assert s.rank == r
+        j = chain_matrix(r)
+        rng = random.Random(r)
+        for _ in range(50):
+            u = tuple(rng.randint(-9, 9) for _ in range(r))
+            v = tuple(rng.randint(-9, 9) for _ in range(r))
+            assert s.pairing(u, v) == sum(u[i] * j[i][k] * v[k]
+                                          for i in range(r) for k in range(r))
 
     def test_boundary_class_in_radical(self, genus2):
         s, calc = genus2
@@ -86,7 +104,7 @@ class TestActions:
 
     def test_preserves_intersection_form(self, genus2):
         s, calc = genus2
-        j = s.intersection_matrix()
+        j = chain_matrix(s.rank)
         rng = random.Random(1)
         tags = [("chain", k) for k in range(1, 6)] + [("dcurve", 1),
                                                       ("boundary", 1)]
