@@ -28,8 +28,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .framed import boundary_multitwist_framed, framed_equal
 from .surface import (DerivedCurve, HomologyCalculator, NamedCurve,
-                      SurfaceModel, TwistWord, twist)
-from .swaps import SurfaceLayout, SwapWord, expand, rho, shadow
+                      SurfaceLayout, SurfaceModel, TwistWord, twist)
+from .swaps import SwapWord, expand, rho, shadow
 from .words import Word, compose
 
 
@@ -360,25 +360,8 @@ def _rebase_word(word: TwistWord, new_surface: SurfaceModel) -> TwistWord:
 
 def extended_calculator(gtarget: int, layout: SurfaceLayout
                         ) -> HomologyCalculator:
-    """Calculator for Sigma_gtarget^2 knowing the genus-11 layout curves,
-    zero-padded into the larger chain basis."""
-    surface = SurfaceModel(gtarget, 2)
-    r = surface.rank
-    table = {tag: vec + (0,) * (r - len(vec))
-             for tag, vec in layout.curve_table().items()}
-    return HomologyCalculator(surface, table)
-
-
-def calculator_for(surface: SurfaceModel) -> HomologyCalculator:
-    """The curve table a twist word on this surface is read with: layout l's
-    own table at genus 11+4l, the zero-padded layout-0 table at any other
-    genus above 11, and the base table otherwise."""
-    l, rest = divmod(surface.genus - 11, 4)
-    if surface.boundary != 2 or l < 0:
-        return HomologyCalculator(surface)
-    if rest == 0:
-        return SurfaceLayout(l).calculator
-    return extended_calculator(surface.genus, SurfaceLayout(0))
+    """Calculator for Sigma_gtarget^2 with the given layout."""
+    return HomologyCalculator(SurfaceModel(gtarget, 2, layout))
 
 
 def extend_to_genus(gtarget: int, base: PositiveFactorization
@@ -389,11 +372,12 @@ def extend_to_genus(gtarget: int, base: PositiveFactorization
     word (t_1...t_{2g+1})^{2g+2} as a subsequence; inserting the missing
     letters and appending their conjugates gives M'_bdry = W~ . M_bdry, and
     the base factorization replaces M_bdry.  Adds
-    (2g+1)(2g+2) - 552 letters.
+    (2g+1)(2g+2) - 552 letters.  The result's surface keeps the base's
+    layout, whose curves the base letters name.
     """
     if gtarget <= 11:
         raise ValueError("extension needs genus > 11")
-    surface = SurfaceModel(gtarget, 2)
+    surface = SurfaceModel(gtarget, 2, base.word.surface.layout)
     small = compose(*[twist(surface, NamedCurve(("chain", k)))
                       for k in range(1, 24)]).power(24)
     n_big = 2 * gtarget + 1

@@ -3,21 +3,30 @@ words.
 
 A document is a header line followed by whitespace-separated tokens:
 
-    @braid n=6          b1 b2^-1 b3^2
-    @framed n=4         delta(1,2) rho(2,3)^-1 Mb M(2)
-    @twist g=11 s=2     c3 d1^-1 delta1 c(2,4) img(c1 c2; c3)
-    @swap l=0           rho(2,4) rhoA(1,3; c1 c2^-1) sub(c1; F2) M(1) Mb
+    @braid n=6              b1 b2^-1 b3^2
+    @framed n=4             delta(1,2) rho(2,3)^-1 Mb M(2)
+    @twist g=11 s=2         c3 d1^-1 delta1 img(c1 c2; c3)
+    @twist g=11 s=2 l=0     c(2,4) d(1,1) bd(F3) c5
+    @swap l=0               rho(2,4) rhoA(1,3; c1 c2^-1) sub(c1; F2) M(1) Mb
 
-`#` starts a comment running to the end of the line.  Header values n=,
-g= and l= are at most MAX_HEADER.  Tokens accept `^k` and `^-k` suffixes
-with |k| <= MAX_POWER.  Printing is canonical (single spaces, no comments)
-and parse(print(d)) == d.  Composition is right to left: the rightmost
-token acts first, annotated in printed headers to prevent convention
-drift.
+The header is the @kind token and the key=value tokens after it on its
+line: n= (strands; @framed defaults to 4) for @braid and @framed; g=, s=
+(default 2) and l= for @twist, where l= names the layout whose subsurface
+curves c(i,k), d(i,k), bd(Fi) the word may use and no l= means the plain
+chain surface; l= (default 0) for @swap.  Other keys are errors.  n= and
+g= are at most MAX_HEADER, l= at most surface.MAX_LAYOUT.
+
+`#` starts a comment running to the end of the line.  Tokens accept `^k`
+and `^-k` suffixes with |k| <= MAX_POWER.  Printing is canonical (single
+spaces, no comments) and parse(print(d)) == d.  Composition is right to
+left: the rightmost token acts first, annotated in printed headers to
+prevent convention drift.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -26,8 +35,9 @@ from .braid import BraidWord
 from .framed import (FramedBraid, boundary_multitwist_framed, delta_framed,
                      fcompose, fpower, framed_identity, m_framed,
                      rho_framed)
-from .surface import (DerivedCurve, NamedCurve, SurfaceModel, TwistWord)
-from .swaps import SurfaceLayout, SwapWord
+from .surface import (MAX_LAYOUT, DerivedCurve, NamedCurve, SurfaceLayout,
+                      SurfaceModel, TwistWord)
+from .swaps import SwapWord
 
 
 class ParseError(ValueError):
@@ -49,10 +59,14 @@ _TOKEN = re.compile(r"\S+")
 # while parsing, so the cap bounds the memory one token can ask for.
 MAX_POWER = 1000
 
-# The largest n=, g= or l= a header may carry.  They size what the tokens
-# are read into (strands, surface rank, layout) before any token is read,
-# so the cap bounds that memory.
+# The largest n= or g= a header may carry.  They size what the tokens are
+# read into (strands, surface rank) before any token is read, so the cap
+# bounds that memory.
 MAX_HEADER = 100
+
+# The caps on header values; the keys each kind takes are in _KINDS.
+_HEADER_CAPS = {"n": MAX_HEADER, "g": MAX_HEADER, "l": MAX_LAYOUT}
+_HEADER_PARAM = re.compile(r"(\w+)=(-?\d+)")
 
 
 def _tokenize(text: str):
@@ -89,28 +103,32 @@ def _repeat(generator, k: int) -> list:
     return [(generator, 1 if k > 0 else -1)] * abs(k)
 
 
-def _parse_header(tokens, text):
-    try:
-        first = next(tokens)
-    except StopIteration:
-        raise ParseError("empty document", 1, 1) from None
-    tok, ln, col = first
+def _parse_header(tokens):
+    """(kind, params, body tokens).  The parameters are the key=value tokens
+    after the @kind token on its line; the body starts at the first other
+    token."""
+    first = next(tokens, None)
+    if first is None:
+        raise ParseError("empty document", 1, 1)
+    tok, line, col = first
     if not tok.startswith("@"):
-        raise ParseError("missing @-header", ln, col)
+        raise ParseError("missing @-header", line, col)
     kind = tok[1:]
+    if kind not in _KINDS:
+        raise ParseError(f"unknown document kind @{kind}", line, col)
     params = {}
-    rest = []
-    for tok2, ln2, col2 in tokens:
-        m = re.fullmatch(r"(\w+)=(-?\d+)", tok2)
-        if m and ln2 == ln and not rest:
-            key, value = m.group(1), int(m.group(2))
-            if key in ("n", "g", "l") and value > MAX_HEADER:
-                raise ParseError(f"{key}={value} exceeds the cap "
-                                 f"{MAX_HEADER}", ln2, col2)
-            params[key] = value
-        else:
-            rest.append((tok2, ln2, col2))
-    return kind, params, rest
+    for tok, ln, col in tokens:
+        m = _HEADER_PARAM.fullmatch(tok) if ln == line else None
+        if m is None:
+            return kind, params, itertools.chain([(tok, ln, col)], tokens)
+        key, value = m.group(1), int(m.group(2))
+        if key not in _KINDS[kind][0]:
+            raise ParseError(f"@{kind} takes no {key}= parameter", ln, col)
+        if value > _HEADER_CAPS.get(key, value):
+            raise ParseError(f"{key}={value} exceeds the cap "
+                             f"{_HEADER_CAPS[key]}", ln, col)
+        params[key] = value
+    return kind, params, tokens
 
 
 # --- braid ------------------------------------------------------------------
@@ -188,32 +206,41 @@ def _print_framed(x: FramedBraid) -> str:
 
 # --- twist ------------------------------------------------------------------
 
+# Curve tokens: each spelling and the tag it reads to, with None where the
+# spelling's numbers go, in order.  The printer prefers a spelling that
+# fixes the tag's last entry (bd(Fi) is bd(Fi,1)).
+_CURVE_SPELLINGS = {
+    "c{}": ("chain", None),
+    "d{}": ("dcurve", None),
+    "delta{}": ("boundary", None),
+    "c({},{})": ("subchain", None, None),
+    "d({},{})": ("subdcurve", None, None),
+    "bd(F{})": ("subboundary", None, 1),
+    "bd(F{},{})": ("subboundary", None, None),
+}
+# A token's literal parts joined by "#", which no token contains (it starts
+# a comment), so a match fixes how many numbers the token has.
+_TAG_OF_SHAPE = {sp.replace("{}", "#"): tag
+                 for sp, tag in _CURVE_SPELLINGS.items()}
+_SPELLING_OF_TAG = {tag: sp for sp, tag in _CURVE_SPELLINGS.items()}
+_NUMBERS = re.compile(r"(\d+)")
+
+
 def _curve_of_token(base: str, ln: int, col: int):
-    m = re.fullmatch(r"c(\d+)", base)
-    if m:
-        return NamedCurve(("chain", int(m.group(1))))
-    m = re.fullmatch(r"d(\d+)", base)
-    if m:
-        return NamedCurve(("dcurve", int(m.group(1))))
-    m = re.fullmatch(r"delta(\d+)", base)
-    if m:
-        return NamedCurve(("boundary", int(m.group(1))))
-    m = re.fullmatch(r"c\((\d+),(\d+)\)", base)
-    if m:
-        return NamedCurve(("subchain", int(m.group(1)), int(m.group(2))))
-    m = re.fullmatch(r"d\((\d+),(\d+)\)", base)
-    if m:
-        return NamedCurve(("subdcurve", int(m.group(1)), int(m.group(2))))
-    m = re.fullmatch(r"bd\(F(\d+)\)", base)
-    if m:
-        return NamedCurve(("subboundary", int(m.group(1)), 1))
-    m = re.fullmatch(r"bd\(F(\d+),(\d+)\)", base)
-    if m:
-        return NamedCurve(("subboundary", int(m.group(1)), int(m.group(2))))
-    raise ParseError(f"unknown curve token {base!r}", ln, col)
+    parts = _NUMBERS.split(base)
+    template = _TAG_OF_SHAPE.get("#".join(parts[0::2]))
+    if template is None:
+        raise ParseError(f"unknown curve token {base!r}", ln, col)
+    numbers = map(int, parts[1::2])
+    return NamedCurve(tuple(next(numbers) if x is None else x
+                            for x in template))
 
 
-def _parse_twist_tokens(surface: SurfaceModel, toks) -> TwistWord:
+def _parse_twist_tokens(surface: SurfaceModel, toks, words=None
+                        ) -> TwistWord:
+    """words maps each img(...) conjugator's text read so far to its word:
+    equal conjugators become one object, which the class memo finds fast."""
+    words = {} if words is None else words
     letters = []
     stream = list(toks)
     i = 0
@@ -225,8 +252,10 @@ def _parse_twist_tokens(surface: SurfaceModel, toks) -> TwistWord:
             m = re.fullmatch(r"img\((.*);(.*)\)(?:\^(-?\d+))?", joined)
             if not m:
                 raise ParseError("malformed img(...) token", ln, col)
-            inner = _parse_twist_tokens(
-                surface, [(t, ln, col) for t in m.group(1).split()])
+            inner = words.get(m.group(1))
+            if inner is None:
+                inner = words[m.group(1)] = _parse_twist_tokens(
+                    surface, [(t, ln, col) for t in m.group(1).split()], words)
             curve = DerivedCurve(_curve_of_token(m.group(2).strip(), ln, col),
                                  inner)
             letters.extend(_repeat(curve, _exponent(m.group(3), ln, col)))
@@ -252,30 +281,29 @@ def _join_until(stream, i, ln, col):
 
 
 def _parse_twist(params, toks) -> TwistWord:
-    g = params.get("g")
-    s = params.get("s", 2)
+    g, l = params.get("g"), params.get("l")
     if g is None:
         raise ParseError("twist header needs g=<genus>", 1, 1)
-    return _parse_twist_tokens(SurfaceModel(g, s), toks)
+    layout = None if l is None else SurfaceLayout(l)
+    return _parse_twist_tokens(SurfaceModel(g, params.get("s", 2), layout),
+                               toks)
 
 
 def _print_curve(curve) -> str:
     if isinstance(curve, DerivedCurve):
         inner = " ".join(_print_twist_tokens(curve.conjugator))
         return f"img({inner}; {_print_curve(curve.base)})"
-    tag = curve.tag
-    if tag[0] == "chain":
-        return f"c{tag[1]}"
-    if tag[0] == "dcurve":
-        return f"d{tag[1]}"
-    if tag[0] == "boundary":
-        return f"delta{tag[1]}"
-    if tag[0] == "subchain":
-        return f"c({tag[1]},{tag[2]})"
-    if tag[0] == "subdcurve":
-        return f"d({tag[1]},{tag[2]})"
-    if tag[0] == "subboundary":
-        return f"bd(F{tag[1]})" if tag[2] == 1 else f"bd(F{tag[1]},{tag[2]})"
+    return _spell(curve.tag)
+
+
+@functools.lru_cache(maxsize=1024)   # words repeat a few hundred tags
+def _spell(tag: tuple) -> str:
+    free = (tag[0],) + (None,) * (len(tag) - 1)
+    for template in (free[:-1] + tag[-1:], free):
+        spelling = _SPELLING_OF_TAG.get(template)
+        if spelling is not None:
+            return spelling.format(*(x for x, t in zip(tag, template)
+                                     if t is None))
     raise ValueError(f"curve {tag} has no DSL token")
 
 
@@ -284,7 +312,10 @@ def _print_twist_tokens(w: TwistWord) -> List[str]:
 
 
 def _print_twist(w: TwistWord) -> str:
-    head = f"@twist g={w.surface.genus} s={w.surface.boundary}"
+    surface = w.surface
+    head = f"@twist g={surface.genus} s={surface.boundary}"
+    if surface.layout is not None:
+        head += f" l={surface.layout.l}"
     return head + "\n" + _wrap(_print_twist_tokens(w))
 
 
@@ -322,7 +353,7 @@ def _parse_swap(params, toks) -> SwapWord:
             letters.extend(_repeat(kind, k))
             continue
         base, k = _split_power(tok, ln, col)
-        m = re.fullmatch(r"(rho|delta)\((\d+),(\d+)\)", base)
+        m = _PAIR_TOK.fullmatch(base)
         if m:
             kind = (m.group(1), int(m.group(2)), int(m.group(3)))
             if not 1 <= kind[1] < kind[2] <= 4:
@@ -383,28 +414,22 @@ def _wrap(tokens: List[str], width: int = 78) -> str:
     return "\n".join(lines)
 
 
+# Per document kind: the header keys it takes, its parser and its printer.
+_KINDS = {
+    "braid": (("n",), _parse_braid, _print_braid),
+    "framed": (("n",), _parse_framed, _print_framed),
+    "twist": (("g", "s", "l"), _parse_twist, _print_twist),
+    "swap": (("l",), _parse_swap, _print_swap),
+}
+
+
 def parse(text: str) -> Document:
-    tokens = _tokenize(text)
-    kind, params, rest = _parse_header(tokens, text)
-    if kind == "braid":
-        return Document("braid", _parse_braid(params, rest))
-    if kind == "framed":
-        return Document("framed", _parse_framed(params, rest))
-    if kind == "twist":
-        return Document("twist", _parse_twist(params, rest))
-    if kind == "swap":
-        return Document("swap", _parse_swap(params, rest))
-    raise ParseError(f"unknown document kind @{kind}", 1, 1)
+    kind, params, rest = _parse_header(_tokenize(text))
+    return Document(kind, _KINDS[kind][1](params, rest))
 
 
 def print_document(doc: Document) -> str:
     # composition is right to left in every body; comments are not preserved
-    if doc.kind == "braid":
-        return _print_braid(doc.value) + "\n"
-    if doc.kind == "framed":
-        return _print_framed(doc.value) + "\n"
-    if doc.kind == "twist":
-        return _print_twist(doc.value) + "\n"
-    if doc.kind == "swap":
-        return _print_swap(doc.value) + "\n"
-    raise ValueError(f"cannot print documents of kind {doc.kind}")
+    if doc.kind not in _KINDS:
+        raise ValueError(f"cannot print documents of kind {doc.kind}")
+    return _KINDS[doc.kind][2](doc.value) + "\n"

@@ -14,6 +14,7 @@ as braid words.  All arithmetic is exact (Python ints).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -41,15 +42,75 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                  for row in a)
 
 
+# The largest layout parameter l an input may name (a DSL header's l=, the
+# CLI's --l).  The certified swap expansion on Sigma_{11+4l}^2 grows about
+# as (2+l)^4.5 and a one-line swap file can ask for it; at this cap each
+# generate, verify and invariants command stays within about 10 s on a
+# 2-vCPU host, and at l = 8 `generate boundary` does not.
+MAX_LAYOUT = 7
+
+
+@dataclass(frozen=True)
+class SurfaceLayout:
+    """The four-subsurface decomposition of Sigma_{11+4l}^2."""
+    l: int = 0
+
+    def __post_init__(self):
+        if self.l < 0:
+            raise ValueError("layout parameter l must be >= 0")
+
+    @property
+    def subsurface_genus(self) -> int:
+        return 2 + self.l
+
+    @property
+    def cluster_size(self) -> int:
+        return 2 * self.subsurface_genus + 2
+
+    @property
+    def branch_points(self) -> int:
+        return 4 * self.cluster_size
+
+    @property
+    def ambient_genus(self) -> int:
+        return 11 + 4 * self.l
+
+    def ambient_model(self) -> "SurfaceModel":
+        return SurfaceModel(self.ambient_genus, 2, self)
+
+    def subsurface_model(self) -> "SurfaceModel":
+        return SurfaceModel(self.subsurface_genus, 2)
+
+    def cluster_offset(self, i: int) -> int:
+        if not 1 <= i <= 4:
+            raise ValueError(f"subsurface index {i} out of range")
+        return (i - 1) * self.cluster_size
+
+    @functools.cached_property
+    def calculator(self) -> "HomologyCalculator":
+        return HomologyCalculator(self.ambient_model())
+
+
 @dataclass(frozen=True)
 class SurfaceModel:
-    """Sigma_g^s with its chain-basis homology data (s in {0, 1, 2})."""
+    """Sigma_g^s with its chain-basis homology data (s in {0, 1, 2}).
+
+    layout is the four-subsurface layout whose subsurface curves the
+    surface's twist words may name, None for the plain chain surface.  It
+    needs s = 2 and genus >= 11+4l; above genus 11+4l the layout sits on
+    the first chain curves.
+    """
     genus: int
     boundary: int = 2
+    layout: SurfaceLayout | None = None
 
     def __post_init__(self):
         if self.genus < 0 or self.boundary not in (0, 1, 2):
             raise ValueError("unsupported surface")
+        if self.layout is not None and (
+                self.boundary != 2 or self.genus < self.layout.ambient_genus):
+            raise ValueError(f"layout l={self.layout.l} needs s=2 and genus "
+                             f">= {self.layout.ambient_genus}")
 
     @property
     def rank(self) -> int:
@@ -68,9 +129,6 @@ class SurfaceModel:
         if self.boundary != 2:
             raise ValueError("boundary class only defined for s = 2")
         return tuple(1 if i % 2 == 0 else 0 for i in range(self.rank))
-
-    def zero(self) -> Vector:
-        return (0,) * self.rank
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +165,38 @@ def d_curve(which: int) -> NamedCurve:
     return NamedCurve(("dcurve", which))
 
 
-def _base_curve_table(surface: SurfaceModel) -> Dict[tuple, Vector]:
-    """Classes of the curves every chain-based surface knows about."""
+def curve_table(surface: SurfaceModel) -> Dict[tuple, Vector]:
+    """The class of every named curve of the surface: the chain, boundary
+    and d-curves, and the subchain, subdcurve and subboundary curves of its
+    layout, if it has one.  Each subsurface F_i sits on the chain curves
+    over the i-th cluster, so its classes are sums of chain classes."""
     r = surface.rank
     table: Dict[tuple, Vector] = {}
+
+    def chains(*ks: int) -> Vector:  # c_k1 + c_k2 + ..., 1-based
+        return tuple(int(i + 1 in ks) for i in range(r))
+
+    def pair(key: tuple, v: Vector) -> None:  # the two sides of a curve
+        table[key + (1,)] = v
+        table[key + (2,)] = tuple(-x for x in v)
+
     n_chain = 2 * surface.genus + 1 if surface.boundary == 2 else r
     for k in range(1, n_chain + 1):
-        table[("chain", k)] = tuple(int(i == k - 1) for i in range(r))
+        table[("chain", k)] = chains(k)
     if surface.boundary == 2:
-        e = surface.boundary_class()
-        table[("boundary", 1)] = e
-        table[("boundary", 2)] = tuple(-x for x in e)
+        pair(("boundary",), surface.boundary_class())
     if surface.genus >= 2:
         # d_1, d_2: boundary of a neighborhood of the subchain c_1, c_2, c_3
-        d1 = tuple(int(i in (0, 2)) for i in range(r))
-        table[("dcurve", 1)] = d1
-        table[("dcurve", 2)] = tuple(-x for x in d1)
+        pair(("dcurve",), chains(1, 3))
+    layout = surface.layout
+    if layout is not None:
+        h = layout.cluster_size
+        for i in range(1, 5):
+            off = layout.cluster_offset(i)
+            for k in range(1, h):
+                table[("subchain", i, k)] = chains(off + k)
+            pair(("subdcurve", i), chains(off + 1, off + 3))
+            pair(("subboundary", i), chains(*range(off + 1, off + h, 2)))
     return table
 
 
@@ -152,19 +226,14 @@ def twist(surface: SurfaceModel, curve, sign: int = 1) -> TwistWord:
 # ---------------------------------------------------------------------------
 
 class HomologyCalculator:
-    """Curve classes and transvection actions for one surface.
-
-    Extra named-curve classes (e.g. a layout's subsurface tables) can be
-    supplied at construction.  Derived-curve classes are memoized on the
+    """Curve classes and transvection actions for one surface, read with
+    the surface's curve_table.  Derived-curve classes are memoized on the
     base tag and the conjugator word, whose hash is cached.
     """
 
-    def __init__(self, surface: SurfaceModel,
-                 extra_classes: Dict[tuple, Vector] | None = None):
+    def __init__(self, surface: SurfaceModel):
         self.surface = surface
-        self.table = _base_curve_table(surface)
-        if extra_classes:
-            self.table.update(extra_classes)
+        self.table = curve_table(surface)
         self._derived_memo: Dict[tuple, Vector] = {}
 
     def curve_class(self, curve) -> Vector:
@@ -172,7 +241,11 @@ class HomologyCalculator:
             try:
                 return self.table[curve.tag]
             except KeyError:
-                raise UnknownCurve(f"{curve.tag} not on this surface") from None
+                hint = ("; a layout curve needs l=<l> in the @twist header"
+                        if curve.tag[0].startswith("sub")
+                        and self.surface.layout is None else "")
+                raise UnknownCurve(f"{curve.tag} not on this surface{hint}"
+                                   ) from None
         if isinstance(curve, DerivedCurve):
             key = (curve.base.tag, curve.conjugator)
             hit = self._derived_memo.get(key)

@@ -29,81 +29,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from .framed import (FramedBraid, boundary_multitwist_framed, fcompose,
                      finverse, framed_identity, m_framed, rho_framed)
 from .lift import block_half_twist, lift, rho_band_factorization, swap_bands
-from .surface import (DerivedCurve, HomologyCalculator, NamedCurve,
-                      SurfaceModel, TwistWord, UnknownCurve, twist)
+from .surface import (DerivedCurve, NamedCurve, SurfaceLayout, TwistWord,
+                      UnknownCurve, twist)
 from .words import Word, compose
-
-
-@dataclass(frozen=True)
-class SurfaceLayout:
-    """The four-subsurface decomposition of Sigma_{11+4l}^2."""
-    l: int = 0
-
-    def __post_init__(self):
-        if self.l < 0:
-            raise ValueError("layout parameter l must be >= 0")
-
-    @property
-    def subsurface_genus(self) -> int:
-        return 2 + self.l
-
-    @property
-    def cluster_size(self) -> int:
-        return 2 * self.subsurface_genus + 2
-
-    @property
-    def branch_points(self) -> int:
-        return 4 * self.cluster_size
-
-    @property
-    def ambient_genus(self) -> int:
-        return 11 + 4 * self.l
-
-    def ambient_model(self) -> SurfaceModel:
-        return SurfaceModel(self.ambient_genus, 2)
-
-    def subsurface_model(self) -> SurfaceModel:
-        return SurfaceModel(self.subsurface_genus, 2)
-
-    def cluster_offset(self, i: int) -> int:
-        if not 1 <= i <= 4:
-            raise ValueError(f"subsurface index {i} out of range")
-        return (i - 1) * self.cluster_size
-
-    def curve_table(self) -> Dict[tuple, tuple]:
-        """Ambient classes of the layout's named curves."""
-        r = 2 * self.ambient_genus + 1
-        h = self.cluster_size
-        table: Dict[tuple, tuple] = {}
-
-        def e(k):  # chain class c_k, 1-based
-            return tuple(int(m == k - 1) for m in range(r))
-
-        def add(v, w):
-            return tuple(a + b for a, b in zip(v, w))
-
-        for i in range(1, 5):
-            off = self.cluster_offset(i)
-            for k in range(1, h):
-                table[("subchain", i, k)] = e(off + k)
-            d1 = add(e(off + 1), e(off + 3))
-            table[("subdcurve", i, 1)] = d1
-            table[("subdcurve", i, 2)] = tuple(-x for x in d1)
-            s = (0,) * r
-            for k in range(1, h, 2):
-                s = add(s, e(off + k))
-            table[("subboundary", i, 1)] = s
-            table[("subboundary", i, 2)] = tuple(-x for x in s)
-        return table
-
-    @functools.cached_property
-    def calculator(self) -> HomologyCalculator:
-        return HomologyCalculator(self.ambient_model(), self.curve_table())
 
 
 _SUB_TAG = {"chain": "subchain", "dcurve": "subdcurve",

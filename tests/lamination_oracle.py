@@ -10,8 +10,6 @@ Artin representation on the lasso generators u_j (cross U_j, return through
 D_j), and crossing counts of the reduced word give the coordinates.
 """
 
-from swapfact.surface import _base_curve_table  # noqa: F401  (import anchor)
-
 
 def edge_path_of_u(j, sgn):
     fwd = [("D", k, 1) for k in range(1, j)] + [("U", j, 1), ("D", j, -1)] + \

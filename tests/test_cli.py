@@ -1,15 +1,21 @@
+import contextlib
+import io
 import random
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from swapfact import cli
 from swapfact.braid import BraidWord
-from swapfact.cli import main
+from swapfact.cli import MAX_GENUS, main
 from swapfact.dsl import (MAX_HEADER, MAX_POWER, Document, ParseError,
                           parse, print_document)
 from swapfact.framed import FramedBraid
+from swapfact.surface import MAX_LAYOUT, SurfaceLayout
 
 
 def run(args, capsys):
@@ -76,6 +82,42 @@ class TestDSL:
         d = parse(f"@braid n=3\nb1^-{MAX_POWER}")
         assert d.value.to_ints() == (-1,) * MAX_POWER
 
+    def test_twist_layout_round_trip(self):
+        text = ("@twist g=16 s=2 l=1\nc(2,4) d(1,2) bd(F3) bd(F2,2) c33 "
+                "delta2 d2 img(c(1,1); bd(F4))\n")
+        d = parse(text)
+        assert d.value.surface.layout == SurfaceLayout(1)
+        assert print_document(d) == text
+        plain = parse("@twist g=16 s=2\nc(2,4)").value
+        assert plain.surface.layout is None and plain != d.value
+        assert print_document(Document("twist", plain)).startswith(
+            "@twist g=16 s=2\n")
+
+    @pytest.mark.parametrize("token", ["c", "c(1)", "c(1,2,3)", "bd(F)",
+                                       "bd(F1,2,3)", "c{}", "c({},1)",
+                                       "delta", "cx1", "d(1,)"])
+    def test_unknown_curve_token(self, token):
+        with pytest.raises(ParseError, match="unknown curve token"):
+            parse(f"@twist g=11 s=2 l=0\n{token}")
+
+    @pytest.mark.parametrize("text", ["@braid n=3 g=9\nb1",
+                                      "@framed n=4 l=0\nMb",
+                                      "@twist g=2 s=2 q=7\nc1",
+                                      "@swap l=0 n=4\nMb"])
+    def test_header_rejects_keys_its_kind_does_not_take(self, tmp_path,
+                                                        capsys, text):
+        with pytest.raises(ParseError, match="takes no"):
+            parse(text)
+        f = tmp_path / "w.txt"
+        f.write_text(text + "\n")
+        code, _, err = run(["verify", str(f), str(f)], capsys)
+        assert code == 1 and "parse error" in err
+
+    def test_header_is_read_from_its_line_only(self):
+        assert parse("@braid n=3 b1 b2").value.to_ints() == (1, 2)
+        with pytest.raises(ParseError, match="unknown braid token"):
+            parse("@braid n=3\nn=4 b1")
+
     def test_rhoA(self):
         d = parse("@swap l=0\nrhoA(1,3; c1 c2^-1) M(2) Mb^-1")
         k0 = d.value.letters[0][0]
@@ -136,6 +178,40 @@ class TestCLI:
                             "homology"], capsys)
         assert code == 3 and "tier-insufficient" in out
 
+    @pytest.mark.parametrize("genus", [15, 19])
+    def test_extension_names_its_layout(self, tmp_path, capsys, genus):
+        # the extension names zero-padded layout-0 curves; read with the
+        # layout of genus 11+4l instead, it was refuted against the
+        # boundary multitwist
+        ext, multitwist = tmp_path / "ext.txt", tmp_path / "mt.txt"
+        assert run(["generate", "extend", "--genus", str(genus), "-o",
+                    str(ext)], capsys)[0] == 0
+        assert ext.read_text().startswith(f"@twist g={genus} s=2 l=0\n")
+        multitwist.write_text(f"@twist g={genus} s=2\ndelta1 delta2\n")
+        code, out, _ = run(["verify", str(ext), str(multitwist), "--tier",
+                            "homology"], capsys)
+        assert code == 3 and "tier-insufficient" in out
+
+    @pytest.mark.parametrize("texts,hint", [
+        (["@twist g=11 s=2\nc(2,4)"], "l=<l>"),
+        (["@twist g=5 s=2 l=0\nc1"], "genus >= 11"),
+        (["@twist g=11 s=1 l=0\nc1"], "s=2"),
+        (["@twist g=15 s=2 l=0\nc1", "@twist g=15 s=2 l=1\nc1"],
+         "different surfaces or layouts"),
+    ])
+    def test_layout_errors_exit_1(self, tmp_path, capsys, texts, hint):
+        files = []
+        for k, text in enumerate(texts):
+            files.append(tmp_path / f"w{k}.txt")
+            files[-1].write_text(text + "\n")
+        commands = [["verify", str(files[0]), str(files[-1]), "--tier",
+                     "homology"]]
+        if len(files) == 1:
+            commands.append(["invariants", str(files[0])])
+        for argv in commands:
+            code, _, err = run(argv, capsys)
+            assert code == 1 and hint in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", [["invariants", "{f}"],
                                          ["verify", "{f}", "{f}"]])
     def test_unknown_curve_exit_1(self, tmp_path, capsys, command):
@@ -182,11 +258,63 @@ class TestCLI:
         assert "Traceback" not in err
         assert peak < 2_000_000
 
+    @pytest.mark.parametrize("argv,text", [
+        (["generate", "boundary", "--m", str(MAX_POWER + 1)], None),
+        (["generate", "phi", "--l", str(MAX_LAYOUT + 1)], None),
+        (["generate", "extend", "--genus", str(MAX_GENUS + 1)], None),
+        (["verify", "{f}", "{f}", "--tier", "homology"],
+         f"@swap l={MAX_LAYOUT + 1}\nrho(1,2)"),
+        (["verify", "{f}", "{f}", "--tier", "homology"],
+         f"@twist g={MAX_HEADER} s=2 l={MAX_LAYOUT + 1}\nc1"),
+    ])
+    def test_size_over_cap_exit_1_without_building(self, tmp_path, capsys,
+                                                   argv, text):
+        f = tmp_path / "w.txt"
+        if text is not None:
+            f.write_text(text + "\n")
+        argv = [a.format(f=f) for a in argv] + (
+            ["-o", str(f)] if argv[0] == "generate" else [])
+        tracemalloc.start()
+        try:
+            code, _, err = run(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and "exceeds the cap" in err
+        assert "Traceback" not in err
+        assert peak < 2_000_000
+
+    def test_size_at_cap_reaches_the_builder(self, tmp_path, capsys,
+                                             monkeypatch):
+        seen = []
+
+        def builder(*args, **kwargs):
+            seen.append(args)
+            raise ValueError("stub builder")
+
+        for name in ("phi_factorization", "boundary_multitwist_factorization",
+                     "extend_to_genus"):
+            monkeypatch.setattr(cli, name, builder)
+        out = str(tmp_path / "w.txt")
+        for argv in (["boundary", "--m", str(MAX_POWER)],
+                     ["phi", "--l", str(MAX_LAYOUT)]):
+            assert run(["generate", *argv, "-o", out], capsys)[0] == 1
+        assert seen == [(MAX_POWER, 0), (0, MAX_LAYOUT)]
+        seen.clear()
+        monkeypatch.setattr(cli, "boundary_multitwist_factorization",
+                            lambda *a, **k: None)
+        assert run(["generate", "extend", "--genus", str(MAX_GENUS), "-o",
+                    out], capsys)[0] == 1
+        assert seen == [(MAX_GENUS, None)]
+
     def test_header_at_cap_parses(self):
         assert parse(f"@braid n={MAX_HEADER}\nb1").value.strands == MAX_HEADER
         assert parse(f"@twist g={MAX_HEADER} s=2\nc1").value.surface.genus \
             == MAX_HEADER
-        assert parse(f"@swap l={MAX_HEADER}\nMb").value.layout.l == MAX_HEADER
+        assert parse(f"@swap l={MAX_LAYOUT}\nMb").value.layout.l == MAX_LAYOUT
+        g = 11 + 4 * MAX_LAYOUT
+        assert parse(f"@twist g={g} s=2 l={MAX_LAYOUT}\nc(4,1)").value \
+            .surface.layout == SurfaceLayout(MAX_LAYOUT)
 
     def test_verify_homology_consistent_exit_0(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
@@ -260,6 +388,99 @@ class TestCLI:
         proc = subprocess.run([sys.executable, "-m", "swapfact.cli",
                                "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+_MALFORMED = ["x", "", "1e3", "0x10", "9" * 30]   # never an int in range
+_SMALL_ARGV = {"phi": ({"--m": ["0", "1"], "--l": ["0"]}),
+               "boundary": ({"--m": ["0", "1"], "--l": ["0"]}),
+               "extend": ({"--genus": ["12"]}),
+               "commutator": ({"--m": ["1", "2"]})}
+
+
+@st.composite
+def generate_argv(draw):
+    """generate argv: small in-range values, or malformed and out-of-range
+    ones.  Negative values reach only the builders that read them."""
+    family = draw(st.sampled_from(sorted(_SMALL_ARGV)))
+    argv = ["generate", family]
+    for flag, cap in (("--m", MAX_POWER), ("--l", MAX_LAYOUT),
+                      ("--genus", MAX_GENUS)):
+        small = _SMALL_ARGV[family].get(flag, [])
+        bad = _MALFORMED + [str(cap + 1), "-1", str(-cap)]
+        value = draw(st.sampled_from([None, *small, *bad, *bad]))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+# Per kind: a valid header, header parameters valid and not, and body
+# tokens valid and not; junk tokens fit no kind.
+_KINDS = {
+    "@braid": ("n=4", ["n=3", "n=0", "n=-2", f"n={MAX_HEADER + 1}"],
+               ["b1", "b2^-1", "b3^2", "b9"]),
+    "@framed": ("n=4", ["n=2", "n=0"],
+                ["delta(1,2)", "rho(2,3)^-1", "Mb", "M(2)", "M(5)",
+                 "rho(3,1)"]),
+    "@twist": ("g=11 s=2 l=0",
+               ["g=2", "g=15", "g=0", "s=2", "s=1", "s=0", "s=5", "l=0",
+                "l=1", "l=-1", f"l={MAX_LAYOUT + 1}", f"g={MAX_HEADER + 1}"],
+               ["c1", "c3^2", "c0", "d1", "d2^-1", "delta1", "delta2",
+                "c(2,4)", "d(1,1)", "bd(F3)", "bd(F2,2)", "img(c1 c2; c3)",
+                "img(c(1,1); bd(F2))"]),
+    "@swap": ("l=0", ["l=1", "l=-1", f"l={MAX_LAYOUT + 1}"],
+              ["rho(1,2)", "rho(2,4)^-1", "delta(1,3)", "rhoA(1,3; c1 c2^-1)",
+               "sub(c1 d1^-1; F2)", "M(1)", "Mb", "rho(3,1)", "M(5)"]),
+}
+_JUNK = ["x", "^2", "c1^", "c1^x", "img(c1;", ")", "sub(c1;", "q=7",
+         "@braid", "#", f"b1^{MAX_POWER + 1}", "9" * 30]
+
+
+@st.composite
+def dsl_text(draw):
+    kind = draw(st.sampled_from([*_KINDS, "@other", "braid", ""]))
+    valid, params, body = _KINDS.get(kind, ("", [], []))
+    head = [kind] + draw(st.one_of(
+        st.just([valid]),
+        st.lists(st.sampled_from(params + ["q=1", "n=x"]), max_size=3)))
+    tokens = draw(st.lists(st.sampled_from(body * 4 + _JUNK), max_size=8))
+    return " ".join(head) + "\n" + " ".join(tokens) + "\n"
+
+
+class TestFuzz:
+    """Every input reaches an exit code of the contract, never a traceback."""
+
+    def _main(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        return code
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=generate_argv())
+    def test_generate_argv(self, tmp_path, argv):
+        code = self._main(argv + ["-o", str(tmp_path / "out.txt")])
+        over = [str(cap + 1) for cap in (MAX_POWER, MAX_LAYOUT, MAX_GENUS)]
+        if any(v in argv[3::2] for v in _MALFORMED + over):
+            assert code == 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=dsl_text(), other=dsl_text(),
+           command=st.sampled_from(["nf", "lift", "invariants", "exact",
+                                    "framed", "homology", "auto"]))
+    def test_dsl_text(self, tmp_path, text, other, command):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text(text)
+        b.write_text(other if command in ("exact", "framed") else text)
+        if command in ("nf", "invariants"):
+            self._main([command, str(a)])
+        elif command == "lift":
+            self._main(["lift", str(a), "-o", str(tmp_path / "out.txt")])
+        else:
+            self._main(["verify", str(a), str(b), "--tier", command])
 
 
 class TestDSLSwapLetters:

@@ -229,12 +229,12 @@ class TestMod2Model:
     def test_a_wrong_layout_class_is_seen(self):
         # a subsurface curve d_1 read as c_1 + c_2 instead of c_1 + c_3
         lay = SurfaceLayout(0)
-        table = lay.curve_table()
+        calc = HomologyCalculator(lay.ambient_model())
+        table = calc.table
         d1 = table[("subdcurve", 1, 1)]
         wrong = tuple(a + (k == 1) - (k == 2) for k, a in enumerate(d1))
         table[("subdcurve", 1, 1)] = wrong
         table[("subdcurve", 1, 2)] = tuple(-a for a in wrong)
-        calc = HomologyCalculator(lay.ambient_model(), table)
         tags = [c.tag for c, _ in make_psi(lay.subsurface_model()).letters]
         f = boundary_multitwist_factorization(1)
         classes = [calc.curve_class(c) for c, _ in f.word.letters]

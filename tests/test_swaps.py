@@ -27,7 +27,7 @@ class TestLayout:
     def test_each_subsurface_meets_each_disk_once(self, layout):
         # one boundary circle of F_i on each side: the two subboundary
         # classes are negatives of each other
-        t = layout.curve_table()
+        t = layout.calculator.table
         for i in range(1, 5):
             a = t[("subboundary", i, 1)]
             b = t[("subboundary", i, 2)]
