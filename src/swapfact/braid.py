@@ -10,8 +10,11 @@ Two independent decision procedures for the word problem are provided:
 
 * :func:`normal_form` computes the left-greedy Garside normal form
   Delta^p . A_1 ... A_k with permutation-braid factors, without tabulating
-  the symmetric group, so it works for any strand count we need (up to B_24
-  here).
+  the symmetric group, so it works for any strand count we need (up to B_36
+  here).  It is built incrementally (Epstein et al., *Word Processing in
+  Groups*, ch. 9): each letter's simple factor is appended and left-weighted
+  backwards until a pair is already left-weighted, which costs O(n) per
+  pair visited plus O(1) per crossing moved.
 * :func:`dynnikov_equal` acts on integer laminations of the punctured disk
   via the Dynnikov coordinate update rules.  The action cannot see the
   central full twists, so the test also compares exponent sums, which is
@@ -117,7 +120,7 @@ def band(i: int, j: int, conjugator: BraidWord) -> BraidWord:
 # Garside left normal form
 # ---------------------------------------------------------------------------
 #
-# Permutations are tuples p with p[i] = image of position i (0-based) and
+# Permutations are sequences p with p[i] = image of position i (0-based) and
 # multiply functionally: pmul(p, q) applies q first.  A permutation braid is
 # the positive braid in which the pair of strands (i, j) crosses iff (i, j)
 # is an inversion of the permutation; its Artin length is inv(p).
@@ -126,6 +129,17 @@ def band(i: int, j: int, conjugator: BraidWord) -> BraidWord:
 #   starting set  S(B) = {i : B = b_i . B'}  = descents of B^-1
 #   finishing set F(A) = {i : A = A' . b_i}  = descents of A
 # and a pair (A, B) is left-weighted iff S(B) is a subset of F(A).
+#
+# The normal form is built incrementally (Epstein et al., *Word Processing
+# in Groups*, ch. 9; Dehornoy et al., *Foundations of Garside Theory*).
+# Appending a simple X to a normal form A_1 ... A_k, the pairs (A_k, X),
+# (A_{k-1}, A_k'), ... are left-weighted from right to left.  Left-weighting
+# a pair keeps the pair to its right left-weighted, and a pair that does not
+# change leaves everything to its left as it was, so the pass stops there.
+# Afterwards only the last factor can be the identity and only leading
+# factors can be Delta; those go into the infimum.  A pass visits at most
+# k pairs for k factors, each for O(n) plus O(1) per crossing moved (at most
+# n(n-1)/2), so L letters cost O(L k n^2) at worst.
 
 
 def pmul(p: Perm, q: Perm) -> Perm:
@@ -138,19 +152,6 @@ def pinv(p: Perm) -> Perm:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
-
-
-def _identity(n: int) -> Perm:
-    return tuple(range(n))
-
-
-def _reversal(n: int) -> Perm:
-    return tuple(range(n - 1, -1, -1))
-
-
-def _descents(p: Perm) -> list[int]:
-    """1-based i with p(i) > p(i+1) (0-based positions i-1, i)."""
-    return [i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1]]
 
 
 def _tau(p: Perm, rev: Perm) -> Perm:
@@ -201,26 +202,32 @@ def _perm_word(p: Perm) -> list[int]:
     return out[::-1]
 
 
-def _left_weight(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
-    """Slide crossings from b into a until (a, b) is left-weighted."""
-    n = len(a)
-    binv = pinv(b)
-    changed = False
-    while True:
-        moved = False
-        for i in range(1, n):
-            # i in S(b) iff b^-1 has a descent at i
-            if binv[i - 1] > binv[i]:
-                # i in F(a) iff a has a descent at i
-                if a[i - 1] <= a[i]:
-                    s = i - 1
-                    # a <- a.b_i : swap inputs i-1, i of a
-                    a = a[:s] + (a[s + 1], a[s]) + a[s + 2:]
-                    # b <- b_i.b : swap outputs; binv <- binv with inputs swapped
-                    binv = binv[:s] + (binv[s + 1], binv[s]) + binv[s + 2:]
-                    moved = changed = True
-        if not moved:
-            return a, pinv(binv), changed
+def _left_weight(a: list[int], b: list[int]) -> bool:
+    """Slide crossings from b into a, in place, until (a, b) is left-weighted;
+    return whether any crossing moved.
+
+    Position i carries the pair (a[i], b^-1[i]).  A crossing can move at i
+    iff i is in S(b) but not in F(a), that is b^-1[i-1] > b^-1[i] and
+    a[i-1] < a[i]; moving it (a <- a.b_i, b <- b_i^-1.b) swaps the pairs at
+    i-1 and i.  So this is an insertion sort of the pairs under that rule:
+    pair k walks left while a crossing moves.  Positions left of k are
+    settled before it walks and the pairs it passes keep their order, so one
+    walk per position suffices: O(n) plus O(1) per crossing moved.
+    """
+    binv = list(pinv(b))
+    moved = False
+    for k in range(1, len(a)):
+        xa, xb = a[k], binv[k]
+        i = k
+        while i and binv[i - 1] > xb and a[i - 1] < xa:
+            a[i], binv[i] = a[i - 1], binv[i - 1]
+            i -= 1
+        if i != k:
+            a[i], binv[i] = xa, xb
+            moved = True
+    if moved:
+        b[:] = pinv(binv)
+    return moved
 
 
 def normal_form(w: BraidWord) -> GarsideNormalForm:
@@ -228,61 +235,37 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     n = w.strands
     if n == 1:
         return GarsideNormalForm(1, 0, ())
-    ident = _identity(n)
-    rev = _reversal(n)
+    ident = list(range(n))
+    rev = ident[::-1]
 
-    # Write each letter as Delta^e . X with X simple, then push all Delta
-    # powers to the front: X . Delta^e = Delta^e . tau^e(X).
-    factors: list[Perm] = []
-    powers: list[int] = []
-    for i, sign in w.letters:
+    # Write each letter as Delta^e . X with X simple (b_i^-1 is
+    # Delta^-1 . Delta b_i^-1), then push all Delta powers to the front:
+    # X . Delta^e = Delta^e . tau^e(X).
+    simples: list[Perm] = []
+    infimum = 0
+    for i, sign in reversed(w.letters):
         t = list(ident)
         t[i - 1], t[i] = t[i], t[i - 1]
-        t = tuple(t)
-        if sign > 0:
-            factors.append(t)
-            powers.append(0)
-        else:
-            factors.append(pmul(rev, t))
-            powers.append(-1)
+        x = tuple(t) if sign > 0 else pmul(rev, t)
+        simples.append(_tau(x, rev) if infimum % 2 else x)
+        if sign < 0:
+            infimum -= 1
 
-    infimum = 0
-    suffix_pow = 0
-    for i in range(len(factors) - 1, -1, -1):
-        if suffix_pow % 2:
-            factors[i] = _tau(factors[i], rev)
-        suffix_pow += powers[i]
-    infimum = suffix_pow
+    # Append the simples left to right, left-weighting backwards from the
+    # new pair until a pair is already left-weighted.
+    factors: list[list[int]] = []
+    for x in reversed(simples):
+        factors.append(list(x))
+        j = len(factors) - 2
+        while j >= 0 and _left_weight(factors[j], factors[j + 1]):
+            j -= 1
+        if factors[-1] == ident:
+            factors.pop()
+        while factors and factors[0] == rev:
+            del factors[0]
+            infimum += 1
 
-    factors = [f for f in factors if f != ident]
-
-    # Left-weight adjacent pairs until stable, absorbing full Deltas.
-    stable = False
-    while not stable:
-        stable = True
-        i = 0
-        while i < len(factors):
-            if factors[i] == rev:
-                # push Delta to the front past factors[:i]
-                for j in range(i):
-                    factors[j] = _tau(factors[j], rev)
-                del factors[i]
-                infimum += 1
-                stable = False
-                continue
-            if factors[i] == ident:
-                del factors[i]
-                stable = False
-                continue
-            if i + 1 < len(factors):
-                a, b, changed = _left_weight(factors[i], factors[i + 1])
-                if changed:
-                    factors[i], factors[i + 1] = a, b
-                    stable = False
-            i += 1
-        factors = [f for f in factors if f != ident]
-
-    return GarsideNormalForm(n, infimum, tuple(factors))
+    return GarsideNormalForm(n, infimum, tuple(map(tuple, factors)))
 
 
 def equal(w1: BraidWord, w2: BraidWord) -> bool:

@@ -17,10 +17,10 @@ chain surface; l= (default 0) for @swap.  Other keys are errors.  n= and
 g= are at most MAX_HEADER, l= at most surface.MAX_LAYOUT.
 
 `#` starts a comment running to the end of the line.  Tokens accept `^k`
-and `^-k` suffixes with |k| <= MAX_POWER.  Printing is canonical (single
-spaces, no comments) and parse(print(d)) == d.  Composition is right to
-left: the rightmost token acts first, annotated in printed headers to
-prevent convention drift.
+and `^-k` suffixes with |k| <= MAX_POWER, and parentheses nest at most
+MAX_NESTING deep.  Printing is canonical (single spaces, no comments) and
+parse(print(d)) == d.  Composition is right to left: the rightmost token
+acts first, annotated in printed headers to prevent convention drift.
 """
 
 from __future__ import annotations
@@ -63,6 +63,11 @@ MAX_POWER = 1000
 # read into (strands, surface rank) before any token is read, so the cap
 # bounds that memory.
 MAX_HEADER = 100
+
+# The deepest parenthesis nesting a token group may have.  The body of each
+# img(...) is parsed by a recursive call that reads its own copy of the
+# body's text, so the cap bounds the parser's stack depth and its memory.
+MAX_NESTING = 100
 
 # The caps on header values; the keys each kind takes are in _KINDS.
 _HEADER_CAPS = {"n": MAX_HEADER, "g": MAX_HEADER, "l": MAX_LAYOUT}
@@ -275,6 +280,9 @@ def _join_until(stream, i, ln, col):
         t = stream[j][0]
         parts.append(t)
         depth += t.count("(") - t.count(")")
+        if depth > MAX_NESTING:
+            raise ParseError(f"parentheses nest deeper than the cap "
+                             f"{MAX_NESTING}", ln, col)
         if depth == 0:
             return " ".join(parts), j
     raise ParseError("unbalanced parentheses", ln, col)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from swapfact.braid import (BraidWord, DynnikovState, StrandMismatch, band,
                             compose, dynnikov_act, dynnikov_base_state,
                             dynnikov_equal, equal, full_twist, half_twist,
                             is_trivial, normal_form)
+from swapfact.cli import main
+from swapfact.dsl import Document, print_document
 
 
 def W(n, *ints):
@@ -127,6 +130,57 @@ class TestGarside:
             n = rng.randint(3, 6)
             w = random_word(rng, n, rng.randint(0, 20))
             assert w.exponent_sum() == normal_form(w).word().exponent_sum()
+
+
+def descents(p):
+    """1-based i with p[i-1] > p[i]."""
+    return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
+
+
+def inverse(p):
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def signed_letters(n):
+    return st.lists(st.integers(1, n - 1).flatmap(
+        lambda i: st.sampled_from([i, -i])), max_size=60)
+
+
+class TestCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_normal_form_is_canonical(self, data):
+        n = data.draw(st.integers(3, 10))
+        w = BraidWord.from_ints(n, data.draw(signed_letters(n)))
+        v = BraidWord.from_ints(n, data.draw(signed_letters(n)))
+        nf = normal_form(w)
+        assert tuple(range(n)) not in nf.factors
+        assert tuple(range(n - 1, -1, -1)) not in nf.factors
+        for a, b in zip(nf.factors, nf.factors[1:]):
+            # S(b) = descents of b^-1 must lie in F(a) = descents of a
+            assert descents(inverse(b)) <= descents(a)
+        assert normal_form(nf.word()) == nf
+        assert dynnikov_equal(nf.word(), w)
+        assert equal(w, v) == dynnikov_equal(w, v)
+
+    # sha256 of `swapfact nf` stdout for seeded 800-letter words: the printed
+    # normal form is canonical and must stay byte-identical.
+    @pytest.mark.parametrize("n, seed, digest", [
+        (24, 7, "328c582f363f9b34611bf7bd684508b8"
+                "e1e19524f039837353c941496b85d9ca"),
+        (8, 3, "1c4f9d938715ceb1c2a9d22e0e527b3c"
+               "e0f5a3aa607500193eed97a99319cb09"),
+    ], ids=["B24", "B8"])
+    def test_nf_output_is_pinned(self, tmp_path, capsys, n, seed, digest):
+        path = tmp_path / "w.braid"
+        w = random_word(random.Random(seed), n, 800)
+        path.write_text(print_document(Document("braid", w)))
+        assert main(["nf", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDynnikov:

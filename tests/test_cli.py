@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from swapfact import cli
 from swapfact.braid import BraidWord
 from swapfact.cli import MAX_GENUS, main
-from swapfact.dsl import (MAX_HEADER, MAX_POWER, Document, ParseError,
-                          parse, print_document)
+from swapfact.dsl import (MAX_HEADER, MAX_NESTING, MAX_POWER, Document,
+                          ParseError, parse, print_document)
 from swapfact.framed import FramedBraid
 from swapfact.surface import MAX_LAYOUT, SurfaceLayout
 
@@ -315,6 +315,41 @@ class TestCLI:
         g = 11 + 4 * MAX_LAYOUT
         assert parse(f"@twist g={g} s=2 l={MAX_LAYOUT}\nc(4,1)").value \
             .surface.layout == SurfaceLayout(MAX_LAYOUT)
+
+    @pytest.mark.parametrize("text,other", [
+        ("@twist g=2 s=2\n" + "img(" * 2000 + "c1" + "; c2)" * 2000,
+         "@twist g=2 s=2\nc1"),
+        ("@swap l=0\n" + "sub(" * 2000 + "c1" + "; F2)" * 2000,
+         "@swap l=0\nMb"),
+    ], ids=["img", "sub"])
+    def test_deep_nesting_exit_1_without_recursing(self, tmp_path, capsys,
+                                                   text, other):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text(text + "\n")
+        b.write_text(other + "\n")
+        tracemalloc.start()
+        try:
+            code, _, err = run(["verify", str(a), str(b)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and "nest deeper than the cap" in err
+        assert "Traceback" not in err
+        assert peak < 2_000_000
+
+    def test_nesting_at_cap_parses(self):
+        def nested(depth):
+            return "@twist g=2 s=2\n" + "img(" * depth + "c1" \
+                + "; c2)" * depth
+        d = parse(nested(MAX_NESTING))
+        assert parse(print_document(d)) == d
+        with pytest.raises(ParseError):
+            parse(nested(MAX_NESTING + 1))
+
+    def test_equal_conjugators_are_one_object(self):
+        w = parse("@twist g=3 s=2\nimg(c1 c2; c3) c4 img(c1 c2; c5)").value
+        first, second = w.letters[0][0], w.letters[2][0]
+        assert first.conjugator is second.conjugator
 
     def test_verify_homology_consistent_exit_0(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

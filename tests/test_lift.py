@@ -95,10 +95,12 @@ class TestSwapBands:
         for core, conj in bands:
             assert band(core, 0, conj).exponent_sum() == 1
 
-    @pytest.mark.parametrize("gp", [2, 3, 4])
+    @pytest.mark.parametrize("gp", range(1, 9))
     def test_certified_against_target(self, gp):
-        w = band_word(rho_band_factorization(gp))
-        assert equal(w, swap_braid_target(gp))
+        # the Dynnikov oracle shares no code with the Garside normal form
+        w, target = band_word(swap_bands(gp)), swap_braid_target(gp)
+        assert equal(w, target)
+        assert dynnikov_equal(w, target)
 
     def test_exponent_sum_bookkeeping(self):
         # e(Delta) - 2 e(T_1) - 2 e(T_2) equals the band count
