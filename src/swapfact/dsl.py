@@ -64,9 +64,12 @@ MAX_POWER = 1000
 # bounds that memory.
 MAX_HEADER = 100
 
-# The deepest parenthesis nesting a token group may have.  The body of each
-# img(...) is parsed by a recursive call that reads its own copy of the
-# body's text, so the cap bounds the parser's stack depth and its memory.
+# The deepest parenthesis nesting a token group may have, counted paren by
+# paren, within tokens too.  The body of each img(...) is parsed by a
+# recursive call that reads its own copy of the body's text.  A body is
+# reached only after the tokens before it parsed, and those balance, so each
+# level of recursion sits one parenthesis deeper in the outermost group: the
+# cap bounds the parser's stack depth and its memory.
 MAX_NESTING = 100
 
 # The caps on header values; the keys each kind takes are in _KINDS.
@@ -279,13 +282,21 @@ def _join_until(stream, i, ln, col):
     for j in range(i, len(stream)):
         t = stream[j][0]
         parts.append(t)
-        depth += t.count("(") - t.count(")")
-        if depth > MAX_NESTING:
+        opens = t.count("(")
+        # t reaches at most opens deeper; only then count paren by paren
+        if depth + opens > MAX_NESTING and depth + _deepest(t) > MAX_NESTING:
             raise ParseError(f"parentheses nest deeper than the cap "
                              f"{MAX_NESTING}", ln, col)
+        depth += opens - t.count(")")
         if depth == 0:
             return " ".join(parts), j
     raise ParseError("unbalanced parentheses", ln, col)
+
+
+def _deepest(t: str) -> int:
+    """How many parentheses deep t reaches, read left to right."""
+    return max(itertools.accumulate((c == "(") - (c == ")")
+                                    for c in t if c in "()"), default=0)
 
 
 def _parse_twist(params, toks) -> TwistWord:

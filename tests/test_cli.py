@@ -316,12 +316,22 @@ class TestCLI:
         assert parse(f"@twist g={g} s=2 l={MAX_LAYOUT}\nc(4,1)").value \
             .surface.layout == SurfaceLayout(MAX_LAYOUT)
 
+    # 2,000 levels of img(...) written as one token: its parentheses
+    # balance, so only a count taken paren by paren sees the depth.
+    _DEEP_TOKEN = "img(" * 2000 + "c1" + ";c2)" * 2000
+
     @pytest.mark.parametrize("text,other", [
         ("@twist g=2 s=2\n" + "img(" * 2000 + "c1" + "; c2)" * 2000,
          "@twist g=2 s=2\nc1"),
+        ("@twist g=2 s=2\n" + _DEEP_TOKEN, "@twist g=2 s=2\nc1"),
+        ("@twist g=2 s=2\nc1 img(c1; c2) " + _DEEP_TOKEN + " c2",
+         "@twist g=2 s=2\nc1"),
         ("@swap l=0\n" + "sub(" * 2000 + "c1" + "; F2)" * 2000,
          "@swap l=0\nMb"),
-    ], ids=["img", "sub"])
+        ("@swap l=0\nsub(" + _DEEP_TOKEN + "; F2)", "@swap l=0\nMb"),
+        ("@swap l=0\nrhoA(1,3;" + _DEEP_TOKEN + ")", "@swap l=0\nMb"),
+    ], ids=["img", "img-one-token", "img-mixed", "sub", "sub-body",
+            "rhoA-body"])
     def test_deep_nesting_exit_1_without_recursing(self, tmp_path, capsys,
                                                    text, other):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -337,10 +347,11 @@ class TestCLI:
         assert "Traceback" not in err
         assert peak < 2_000_000
 
-    def test_nesting_at_cap_parses(self):
+    @pytest.mark.parametrize("sep", ["; ", ";"])
+    def test_nesting_at_cap_parses(self, sep):
         def nested(depth):
             return "@twist g=2 s=2\n" + "img(" * depth + "c1" \
-                + "; c2)" * depth
+                + (sep + "c2)") * depth
         d = parse(nested(MAX_NESTING))
         assert parse(print_document(d)) == d
         with pytest.raises(ParseError):
