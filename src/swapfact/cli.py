@@ -77,6 +77,10 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.l and args.family in ("extend", "commutator"):
+        print(f"--l applies to phi and boundary, not to {args.family}",
+              file=sys.stderr)
+        return 1
     target, verdict = None, "verified"      # target None: the identity
     if args.family == "commutator":
         lhs, rhs = commutator_relation(args.m, seed=args.seed)
@@ -104,6 +108,14 @@ def _cmd_generate(args) -> int:
     return 0 if ok else 2
 
 
+def _report(tier: str, verdict: str, code: int) -> int:
+    """Print the verify report and pass its exit code through."""
+    print(f"schema: {REPORT_SCHEMA}")
+    print(f"tier: {tier}")
+    print(f"verdict: {verdict}")
+    return code
+
+
 def _cmd_verify(args) -> int:
     d1, d2 = _read(args.file1), _read(args.file2)
     if d1.kind != d2.kind:
@@ -113,36 +125,31 @@ def _cmd_verify(args) -> int:
     if d1.kind == "braid":
         if tier in ("exact", "auto"):
             ok = equal(d1.value, d2.value)
-            print(f"schema: {REPORT_SCHEMA}")
-            print(f"tier: exact\nverdict: {'equal' if ok else 'refuted'}")
-            return 0 if ok else 2
+            return _report("exact", "equal" if ok else "refuted",
+                           0 if ok else 2)
         print("braid words support only the exact tier", file=sys.stderr)
         return 3
     if d1.kind == "framed":
         if tier in ("framed", "exact", "auto"):
             ok = framed_equal(d1.value, d2.value)
-            print(f"schema: {REPORT_SCHEMA}")
-            print(f"tier: framed\nverdict: {'equal' if ok else 'refuted'}")
-            return 0 if ok else 2
+            return _report("framed", "equal" if ok else "refuted",
+                           0 if ok else 2)
         print("framed words support only the framed tier", file=sys.stderr)
         return 3
     if d1.kind == "swap":
+        layout = d1.value.layout
+        if layout != d2.value.layout:
+            print("swap words on different layouts", file=sys.stderr)
+            return 1
         if tier == "framed" or tier == "auto":
             ok = framed_equal(shadow(d1.value), shadow(d2.value))
-            print(f"schema: {REPORT_SCHEMA}")
-            print(f"tier: framed\nverdict: {'equal' if ok else 'refuted'}")
-            return 0 if ok else 2
+            return _report("framed", "equal" if ok else "refuted",
+                           0 if ok else 2)
         if tier == "homology":
-            layout = d1.value.layout
-            if layout != d2.value.layout:
-                print("swap words on different layouts", file=sys.stderr)
-                return 1
             ok = layout.calculator.verify_homologically(
                 expand(d1.value), expand(d2.value))
-            print(f"schema: {REPORT_SCHEMA}")
-            print("tier: homology")
-            print(f"verdict: {'consistent' if ok else 'refuted'}")
-            return 0 if ok else 2
+            return _report("homology", "consistent" if ok else "refuted",
+                           0 if ok else 2)
         print("swap words: use --tier framed or homology", file=sys.stderr)
         return 3
     # twist words: only the homological necessary condition is available
@@ -160,23 +167,15 @@ def _cmd_verify(args) -> int:
         return 1
     w1, w2 = (TwistWord(surface, d.value.letters) for d in (d1, d2))
     calc = HomologyCalculator(surface)
-    ok = calc.verify_homologically(w1, w2)
-    if not ok:
-        print(f"schema: {REPORT_SCHEMA}")
-        print("tier: homology\nverdict: refuted")
-        return 2
+    if not calc.verify_homologically(w1, w2):
+        return _report("homology", "refuted", 2)
     if _radical_signature(w1, calc) != _radical_signature(w2, calc):
-        print(f"schema: {REPORT_SCHEMA}")
-        print("tier: homology")
-        print("verdict: tier-insufficient (the words differ in twists about "
-              "radical classes, which homology cannot distinguish; boundary "
-              "twists act trivially on absolute H_1)")
-        return 3
-    print(f"schema: {REPORT_SCHEMA}")
-    print("tier: homology")
-    print("verdict: consistent (a necessary condition only, not a proof "
-          "of equality)")
-    return 0
+        return _report("homology", "tier-insufficient (the words differ in "
+                       "twists about radical classes, which homology cannot "
+                       "distinguish; boundary twists act trivially on "
+                       "absolute H_1)", 3)
+    return _report("homology", "consistent (a necessary condition only, not "
+                   "a proof of equality)", 0)
 
 
 def _radical_signature(word, calc):

@@ -55,23 +55,29 @@ def word_T(surface: SurfaceModel | None = None) -> TwistWord:
 _PSI_GEN_TAGS = (("chain", 1), ("chain", 2), ("chain", 3), ("chain", 4),
                  ("chain", 5), ("dcurve", 1))
 
+# Search depth per direction: psi is certified within 2 * PSI_MAX_DEPTH
+# letters.
+PSI_MAX_DEPTH = 6
 
-def make_psi(surface: SurfaceModel | None = None, max_depth: int = 6,
-             seed: int = 0) -> TwistWord:
+
+def make_psi(surface: SurfaceModel | None = None, seed: int = 0
+             ) -> TwistWord:
     """A twist word certified to carry ([c1], [d1]) to (+-[d2], +-[c3]).
 
     Bidirectional breadth-first search over words in twists about
     c_1..c_5, d_1; deterministic for a fixed seed (the seed only rotates
     the generator order, the search itself is exhaustive per depth).
-    Raises SearchExhausted if no certificate exists within 2*max_depth
-    letters.
+    Raises SearchExhausted if no certificate exists within
+    2 * PSI_MAX_DEPTH letters.
     """
     surface = surface or SurfaceModel(2, 2)
-    return _psi_search(surface, max_depth, seed)
+    return _psi_search(surface, seed)
 
 
-@functools.lru_cache(maxsize=None)
-def _psi_search(surface: SurfaceModel, max_depth: int, seed: int) -> TwistWord:
+# A CLI command searches once; the test suite asks for 15 distinct
+# (surface, seed) pairs, 150 times in all.
+@functools.lru_cache(maxsize=16)
+def _psi_search(surface: SurfaceModel, seed: int) -> TwistWord:
     calc = HomologyCalculator(surface)
     gens = [(tag, sign) for tag in _PSI_GEN_TAGS for sign in (1, -1)]
     k = seed % len(gens)
@@ -110,7 +116,7 @@ def _psi_search(surface: SurfaceModel, max_depth: int, seed: int) -> TwistWord:
         return TwistWord(surface, tuple((NamedCurve(t), s)
                                         for t, s in reversed(best)))
 
-    for _ in range(max_depth):
+    for _ in range(PSI_MAX_DEPTH):
         new = []
         for st in ffr:
             for g in gens:
@@ -136,7 +142,7 @@ def _psi_search(surface: SurfaceModel, max_depth: int, seed: int) -> TwistWord:
         if meet:
             return finish(meet)
     raise SearchExhausted(
-        f"no psi certificate within {2 * max_depth} letters")
+        f"no psi certificate within {2 * PSI_MAX_DEPTH} letters")
 
 
 def commutator_relation(m: int, surface: SurfaceModel | None = None,

@@ -63,28 +63,24 @@ def swap_braid_target(gp: int) -> BraidWord:
                    block_full_twist(n, h + 1, n).inverse())
 
 
-def swap_bands(gp: int, offset: int = 0, strands: int | None = None
-               ) -> List[Tuple[int, BraidWord]]:
+def swap_bands(gp: int) -> List[Tuple[int, BraidWord]]:
     """The 2g'+2 positive bands multiplying to Delta.T_1^-1.T_2^-1.
 
     Band k (k = h..1, outermost first, innermost acting first) joins the
     mirror pair of punctures (h-k+1, h+k): its arc leaves the first block
     under its own cluster and crosses to the second through the ribbon.
     Returns (core index, conjugator) pairs; the band is conj.b_core.conj^-1.
-    With offset the same family sits on strands offset+1..offset+2h of a
-    larger braid group.
     """
     if gp < 1:
         raise ValueError("swap surfaces need g' >= 1")
     h = 2 * gp + 2
-    n = strands if strands is not None else 2 * h
     out: List[Tuple[int, BraidWord]] = []
     for k in range(h, 0, -1):
-        off = offset + h - k
+        off = h - k
         conj = [-(off + j) for j in range(1, k)] \
             + [off + k + j for j in range(k - 1)]
         core = off + 2 * k - 1
-        out.append((core, BraidWord.from_ints(n, conj)))
+        out.append((core, BraidWord.from_ints(2 * h, conj)))
     return out
 
 
@@ -93,20 +89,15 @@ def band_word(bands: List[Tuple[int, BraidWord]]) -> BraidWord:
     return compose(*[band(core, 0, conj) for core, conj in bands])
 
 
-_certified: dict[int, bool] = {}
-
-
 def rho_band_factorization(gp: int) -> List[Tuple[int, BraidWord]]:
     """Certified quasipositive factorization of the swap braid.
 
-    The band product is checked once per g' against Delta.T_1^-1.T_2^-1 by
-    the exact word problem; a failure means the configured family is wrong
-    for this size and is raised, never returned.
+    The band product is checked against Delta.T_1^-1.T_2^-1 by the exact
+    word problem on every call; a failure means the configured family is
+    wrong for this size and is raised, never returned.
     """
     bands = swap_bands(gp)
-    if not _certified.get(gp):
-        if not equal(band_word(bands), swap_braid_target(gp)):
-            raise CertificationError(
-                f"band family for g'={gp} does not multiply to the swap braid")
-        _certified[gp] = True
+    if not equal(band_word(bands), swap_braid_target(gp)):
+        raise CertificationError(
+            f"band family for g'={gp} does not multiply to the swap braid")
     return bands

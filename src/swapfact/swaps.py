@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
+from .braid import BraidWord, block_half_twist
 from .framed import (FramedBraid, boundary_multitwist_framed, fcompose,
                      finverse, framed_identity, m_framed, rho_framed)
-from .lift import block_half_twist, lift, rho_band_factorization, swap_bands
-from .surface import (DerivedCurve, NamedCurve, SurfaceLayout, TwistWord,
-                      UnknownCurve, twist)
+from .lift import lift, rho_band_factorization
+from .surface import (MAX_LAYOUT, DerivedCurve, NamedCurve, SurfaceLayout,
+                      TwistWord, UnknownCurve, twist)
 from .words import Word, compose
 
 
@@ -109,32 +110,27 @@ def rho_conjugated(layout: SurfaceLayout, i: int, j: int,
 
 # --- expansion to twist words ----------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _transport_conjugator(layout: SurfaceLayout, i: int) -> TwistWord:
-    """Lift of the cluster-i half twist: the change of identification that
-    chain-normalizes the block swap."""
+@functools.lru_cache(maxsize=MAX_LAYOUT + 1)
+def _rho_expansions(layout: SurfaceLayout) -> Tuple[TwistWord, ...]:
+    """Positive expansions of rho_{i,i+1} for i = 1, 2, 3: the certified
+    bands of the block swap braid, shifted onto clusters i, i+1, lifted,
+    and transported by the lifted cluster-i half twist."""
+    bands = rho_band_factorization(layout.subsurface_genus)
     n = layout.branch_points
-    off = layout.cluster_offset(i)
-    w = block_half_twist(n, off + 1, off + layout.cluster_size)
-    return lift(w, layout.ambient_model())
-
-
-@functools.lru_cache(maxsize=None)
-def _adjacent_rho_expansion(layout: SurfaceLayout, i: int) -> TwistWord:
-    """Positive expansion of rho_{i,i+1}: the certified bands of the block
-    swap braid, shifted onto clusters i, i+1, transported by the cluster
-    half twist and lifted."""
-    gp = layout.subsurface_genus
-    rho_band_factorization(gp)
-    n = layout.branch_points
-    off = layout.cluster_offset(i)
-    vi = _transport_conjugator(layout, i)
     surface = layout.ambient_model()
-    letters = []
-    for core, conj in swap_bands(gp, offset=off, strands=n):
-        conjugator = vi * lift(conj, surface)
-        letters.append((DerivedCurve(NamedCurve(("chain", core)), conjugator), 1))
-    return TwistWord(surface, tuple(letters))
+    out = []
+    for i in (1, 2, 3):
+        off = layout.cluster_offset(i)
+        vi = lift(block_half_twist(n, off + 1, off + layout.cluster_size),
+                  surface)
+        letters = []
+        for core, conj in bands:
+            shifted = BraidWord(n, ((k + off, s) for k, s in conj.letters))
+            curve = DerivedCurve(NamedCurve(("chain", core + off)),
+                                 vi * lift(shifted, surface))
+            letters.append((curve, 1))
+        out.append(TwistWord(surface, letters))
+    return tuple(out)
 
 
 def _expand_positive_kind(layout: SurfaceLayout, kind: tuple) -> TwistWord:
@@ -143,7 +139,7 @@ def _expand_positive_kind(layout: SurfaceLayout, kind: tuple) -> TwistWord:
     if name == "rho":
         _, i, j = kind
         if j == i + 1:
-            return _adjacent_rho_expansion(layout, i)
+            return _rho_expansions(layout)[i - 1]
         step = rho(layout, i, i + 1)
         inner = expand(SwapWord(layout, ((("rho", i + 1, j), 1),)))
         return inner.conjugate_letters(expand(step.inverse()))

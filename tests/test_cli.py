@@ -212,6 +212,27 @@ class TestCLI:
             code, _, err = run(argv, capsys)
             assert code == 1 and hint in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("tier", ["auto", "framed", "homology", "exact"])
+    def test_swap_words_on_different_layouts_exit_1(self, tmp_path, capsys,
+                                                    tier):
+        # the framed shadow does not see the layout, so the layouts are
+        # compared before any tier runs
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("@swap l=0\nrho(1,2)\n")
+        b.write_text("@swap l=1\nrho(1,2)\n")
+        code, out, err = run(["verify", str(a), str(b), "--tier", tier],
+                             capsys)
+        assert code == 1 and out == ""
+        assert "swap words on different layouts" in err
+
+    @pytest.mark.parametrize("argv", [["extend", "--l", "2", "--genus", "20"],
+                                      ["commutator", "--l", "3"]])
+    def test_generate_without_layout_rejects_l(self, tmp_path, capsys, argv):
+        f = tmp_path / "w.txt"
+        code, out, err = run(["generate", *argv, "-o", str(f)], capsys)
+        assert code == 1 and out == "" and "--l" in err
+        assert not f.exists()
+
     @pytest.mark.parametrize("command", [["invariants", "{f}"],
                                          ["verify", "{f}", "{f}"]])
     def test_unknown_curve_exit_1(self, tmp_path, capsys, command):

@@ -6,9 +6,10 @@ from swapfact.braid import (BraidWord, band, compose, dynnikov_equal, equal,
                             full_twist, half_twist)
 from swapfact.framed import (FramedBraid, boundary_multitwist_framed,
                              fcompose, framed_equal)
-from swapfact.lift import (CertificationError, band_word, block_half_twist,
-                           lift, lift_band, rho_band_factorization,
-                           swap_bands, swap_braid_target)
+from swapfact.lift import (CertificationError, band_word, block_full_twist,
+                           block_half_twist, lift, lift_band,
+                           rho_band_factorization, swap_bands,
+                           swap_braid_target)
 from swapfact.surface import HomologyCalculator, SurfaceModel
 from swapfact.swaps import SurfaceLayout, expand, rho
 
@@ -116,40 +117,52 @@ class TestSwapBands:
                       for core, conj in rho_band_factorization(2)])
         assert len(w) == 6 and w.is_positive()
 
-    def test_offset_family(self):
-        bands = swap_bands(2, offset=6, strands=24)
-        w = band_word(bands)
-        lo, hi = 7, 18
-        target = compose(block_half_twist(24, lo, hi),
-                         compose(block_half_twist(24, 7, 12),
-                                 block_half_twist(24, 7, 12)).inverse(),
-                         compose(block_half_twist(24, 13, 18),
-                                 block_half_twist(24, 13, 18)).inverse())
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_cluster_pair_family(self, l, i):
+        # the expansion of rho_{i,i+1} names the certified bands shifted
+        # onto clusters i, i+1 of B_{4h} and transported by the lifted
+        # cluster-i half twist; shifted, they multiply to the block swap
+        # braid on those clusters
+        layout = SurfaceLayout(l)
+        n, h, off = (layout.branch_points, layout.cluster_size,
+                     layout.cluster_offset(i))
+        vi = lift(block_half_twist(n, off + 1, off + h),
+                  layout.ambient_model())
+        shifted = []
+        for curve, sign in expand(rho(layout, i, i + 1)).letters:
+            letters = curve.conjugator.letters
+            assert sign == 1 and letters[:len(vi)] == vi.letters
+            shifted.append((curve.base.tag[1], BraidWord(
+                n, ((c.tag[1], s) for c, s in letters[len(vi):]))))
+        assert [(core - off, BraidWord(2 * h, ((k - off, s)
+                                               for k, s in conj.letters)))
+                for core, conj in shifted] \
+            == rho_band_factorization(layout.subsurface_genus)
+        w = band_word(shifted)
+        target = compose(block_half_twist(n, off + 1, off + 2 * h),
+                         block_full_twist(n, off + 1, off + h).inverse(),
+                         block_full_twist(n, off + h + 1,
+                                          off + 2 * h).inverse())
+        assert equal(w, target)
         assert dynnikov_equal(w, target)
 
-    def test_bad_family_raises(self):
+    def test_bad_family_raises(self, monkeypatch):
         good = lift_mod.swap_bands
-        try:
-            lift_mod.swap_bands = lambda gp, offset=0, strands=None: \
-                good(gp, offset, strands)[:-1] + [(1, BraidWord(4 * gp + 4))]
-            lift_mod._certified.pop(1, None)
-            with pytest.raises(CertificationError):
-                lift_mod.rho_band_factorization(1)
-        finally:
-            lift_mod.swap_bands = good
-            lift_mod._certified.pop(1, None)
+        monkeypatch.setattr(lift_mod, "swap_bands", lambda gp:
+                            good(gp)[:-1] + [(1, BraidWord(4 * gp + 4))])
+        with pytest.raises(CertificationError):
+            lift_mod.rho_band_factorization(1)
 
     def test_expansion_refuses_a_bad_family(self, monkeypatch):
         # the swap expansion certifies the band family before shifting it
         # onto a pair of clusters, so a wrong family is never expanded
         good = lift_mod.swap_bands
-        monkeypatch.setattr(
-            lift_mod, "swap_bands", lambda gp, offset=0, strands=None:
-            good(gp, offset, strands)[:-1] + [(1, BraidWord(4 * gp + 4))])
-        monkeypatch.delitem(lift_mod._certified, 2, raising=False)
-        swaps_mod._adjacent_rho_expansion.cache_clear()
+        monkeypatch.setattr(lift_mod, "swap_bands", lambda gp:
+                            good(gp)[:-1] + [(1, BraidWord(4 * gp + 4))])
+        swaps_mod._rho_expansions.cache_clear()
         try:
             with pytest.raises(CertificationError):
                 expand(rho(SurfaceLayout(0), 1, 2))
         finally:
-            swaps_mod._adjacent_rho_expansion.cache_clear()
+            swaps_mod._rho_expansions.cache_clear()
