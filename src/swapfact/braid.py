@@ -173,9 +173,6 @@ class GarsideNormalForm:
     def canonical_length(self) -> int:
         return len(self.factors)
 
-    def supremum(self) -> int:
-        return self.infimum + len(self.factors)
-
     def is_trivial(self) -> bool:
         return self.infimum == 0 and not self.factors
 
@@ -274,10 +271,6 @@ def equal(w1: BraidWord, w2: BraidWord) -> bool:
         raise StrandMismatch(
             f"cannot compare B_{w1.strands} with B_{w2.strands}")
     return normal_form(w1) == normal_form(w2)
-
-
-def is_trivial(w: BraidWord) -> bool:
-    return normal_form(w).is_trivial()
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,10 @@ def _cmd_generate(args) -> int:
         print(f"--l applies to phi and boundary, not to {args.family}",
               file=sys.stderr)
         return 1
+    if args.genus is not None and args.family != "extend":
+        print(f"--genus applies to extend, not to {args.family}",
+              file=sys.stderr)
+        return 1
     target, verdict = None, "verified"      # target None: the identity
     if args.family == "commutator":
         lhs, rhs = commutator_relation(args.m, seed=args.seed)
@@ -95,7 +99,8 @@ def _cmd_generate(args) -> int:
                                                      seed=args.seed)
         else:
             base = boundary_multitwist_factorization(args.m, seed=args.seed)
-            fact = extend_to_genus(args.genus, base)
+            genus = 12 if args.genus is None else args.genus
+            fact = extend_to_genus(genus, base)
         word, family = fact.word, fact.description
     calc = HomologyCalculator(word.surface)
     ok = (calc.is_identity_action(word) if target is None
@@ -246,7 +251,8 @@ def main(argv=None) -> int:
                                       "commutator"])
     p.add_argument("--m", type=_at_most(MAX_POWER), default=0)
     p.add_argument("--l", type=_at_most(MAX_LAYOUT), default=0)
-    p.add_argument("--genus", type=_at_most(MAX_GENUS), default=12)
+    p.add_argument("--genus", type=_at_most(MAX_GENUS),
+                   help="target genus of extend (default 12)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_generate)
 

@@ -26,10 +26,9 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .framed import boundary_multitwist_framed, framed_equal
 from .surface import (DerivedCurve, HomologyCalculator, NamedCurve,
                       SurfaceLayout, SurfaceModel, TwistWord, twist)
-from .swaps import SwapWord, expand, rho, shadow
+from .swaps import SwapWord, expand, rho
 from .words import Word, compose
 
 
@@ -340,14 +339,6 @@ def boundary_multitwist_factorization(m: int, l: int = 0, seed: int = 0
                for _ in range(8)])
     return PositiveFactorization(
         word, skeleton, f"boundary multitwist (m={m}, l={l})", tuple(prov))
-
-
-def verify_boundary_factorization(fact: PositiveFactorization,
-                                  layout: SurfaceLayout) -> Tuple[bool, bool]:
-    """(shadow tier, homology tier) verdicts for a boundary factorization."""
-    sh = framed_equal(shadow(fact.skeleton), boundary_multitwist_framed(4))
-    hom = layout.calculator.is_identity_action(fact.word)
-    return sh, hom
 
 
 def _rebase_curve(curve, new_surface: SurfaceModel):

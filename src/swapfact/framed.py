@@ -15,7 +15,7 @@ half-twist lift uses n = 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from .braid import BraidWord, StrandMismatch, compose, equal, full_twist
 
@@ -32,9 +32,6 @@ class FramedBraid:
     @property
     def strands(self) -> int:
         return self.underlying.strands
-
-    def total_framing(self) -> int:
-        return sum(self.framings)
 
     def __mul__(self, other: "FramedBraid") -> "FramedBraid":
         return fcompose(self, other)
@@ -137,43 +134,3 @@ def framed_equal(x: FramedBraid, y: FramedBraid) -> bool:
     if x.framings != y.framings:
         return False
     return equal(x.underlying, y.underlying)
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    name: str
-    passed: bool
-
-
-def verify_swap_braid_relations() -> List[RelationReport]:
-    """Machine check of the swap-map calculus at the framed-braid tier:
-    the braid and far-commutation relations, both conjugation spellings of
-    the non-adjacent swaps, and the two full-twist identities."""
-    r12, r23, r34 = rho_framed(1, 2), rho_framed(2, 3), rho_framed(3, 4)
-    d12, d23, d34 = delta_framed(1, 2), delta_framed(2, 3), delta_framed(3, 4)
-    md = boundary_multitwist_framed(4)
-
-    checks: List[RelationReport] = []
-
-    def add(name, lhs, rhs):
-        checks.append(RelationReport(name, framed_equal(lhs, rhs)))
-
-    add("rho12 rho23 rho12 = rho23 rho12 rho23",
-        fcompose(r12, r23, r12), fcompose(r23, r12, r23))
-    add("rho23 rho34 rho23 = rho34 rho23 rho34",
-        fcompose(r23, r34, r23), fcompose(r34, r23, r34))
-    add("rho13: rho12^-1 rho23 rho12 = rho23 rho12 rho23^-1",
-        fcompose(finverse(r12), r23, r12),
-        fcompose(r23, r12, finverse(r23)))
-    add("rho24: rho23^-1 rho34 rho23 = rho34 rho23 rho34^-1",
-        fcompose(finverse(r23), r34, r23),
-        fcompose(r34, r23, finverse(r34)))
-    add("rho12 rho34 = rho34 rho12",
-        fcompose(r12, r34), fcompose(r34, r12))
-    add("(delta34 delta23 delta12)^4 = Mb M4^2 M3^2 M2^2 M1^2",
-        fpower(fcompose(d34, d23, d12), 4),
-        fcompose(md, *[fpower(m_framed(i), 2) for i in (4, 3, 2, 1)]))
-    add("(rho34 rho23 rho12)^4 = Mb M4^-4 M3^-4 M2^-4 M1^-4",
-        fpower(fcompose(r34, r23, r12), 4),
-        fcompose(md, *[fpower(m_framed(i), -4) for i in (4, 3, 2, 1)]))
-    return checks

@@ -19,8 +19,7 @@ from typing import List, Tuple
 
 from .braid import (BraidWord, band, block_half_twist, compose, equal,
                     half_twist)
-from .surface import (DerivedCurve, SurfaceModel, TwistWord, chain_curve,
-                      twist)
+from .surface import SurfaceModel, TwistWord, chain_curve
 
 
 class CertificationError(RuntimeError):
@@ -38,14 +37,6 @@ def lift(w: BraidWord, surface: SurfaceModel | None = None) -> TwistWord:
         raise ValueError(f"braid on {w.strands} strands lifts to "
                          f"Sigma_{g}^2, not the given surface")
     return TwistWord(surface, ((chain_curve(i), s) for i, s in w.letters))
-
-
-def lift_band(core: int, conjugator: BraidWord,
-              surface: SurfaceModel | None = None) -> TwistWord:
-    """Lift of the band w.b_core.w^-1: a single twist about a derived curve."""
-    base = chain_curve(core)
-    conj = lift(conjugator, surface)
-    return twist(conj.surface, DerivedCurve(base, conj), 1)
 
 
 def block_full_twist(n: int, lo: int, hi: int) -> BraidWord:

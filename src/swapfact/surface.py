@@ -43,11 +43,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 # The largest layout parameter l an input may name (a DSL header's l=, the
-# CLI's --l).  The certified swap expansion on Sigma_{11+4l}^2 grows about
-# as (2+l)^4.5 and a one-line swap file can ask for it; at this cap each
-# generate, verify and invariants command stays within about 10 s on a
-# 2-vCPU host, and at l = 8 `generate boundary` does not.
-MAX_LAYOUT = 7
+# CLI's --l).  Reading the boundary artifact back sets it: that file grows
+# from 4.3 MB at l = 7 to 21 MB at l = 12, and parsing it is most of the
+# time of `verify` and `invariants` on it.  At l = 12 `verify` of it took
+# 8.7 s on a 2-vCPU host, the slowest generate, verify or invariants
+# command, and it takes about 1.3 times as long at l = 13.
+MAX_LAYOUT = 12
 
 
 @dataclass(frozen=True)
@@ -266,9 +267,6 @@ class HomologyCalculator:
         for curve, sign in reversed(w.letters):
             x = self._transvect(self.curve_class(curve), sign, x)
         return x
-
-    def twist_action(self, curve, sign: int = 1) -> Matrix:
-        return self.homology_action(twist(self.surface, curve, sign))
 
     def homology_action(self, w: TwistWord) -> Matrix:
         # act column by column: column j of the matrix is w applied to e_j

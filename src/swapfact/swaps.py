@@ -28,8 +28,7 @@ is trivial by construction).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from .braid import BraidWord, block_half_twist
 from .framed import (FramedBraid, boundary_multitwist_framed, fcompose,
@@ -99,13 +98,6 @@ def rho(layout: SurfaceLayout, i: int, j: int, sign: int = 1) -> SwapWord:
     if not 1 <= i < j <= 4:
         raise ValueError(f"bad swap pair ({i}, {j})")
     return swap_letter(layout, ("rho", i, j), sign)
-
-
-def rho_conjugated(layout: SurfaceLayout, i: int, j: int,
-                   a_word: TwistWord, sign: int = 1) -> SwapWord:
-    """rho_ij^A = A_i rho_ij A_i^-1 for A on the subsurface model."""
-    v = SwapWord(layout, ((("sub", i, a_word), 1),))
-    return swap_letter(layout, ("conj", v, ("rho", i, j)), sign)
 
 
 # --- expansion to twist words ----------------------------------------------
@@ -204,36 +196,4 @@ def shadow(word: SwapWord) -> FramedBraid:
         if sign < 0:
             s = finverse(s)
         out = fcompose(out, s)
-    return out
-
-
-# --- verification helpers ---------------------------------------------------
-
-@dataclass(frozen=True)
-class ConjugationReport:
-    name: str
-    passed: bool
-
-
-def verify_conjugation_relations(a_word: TwistWord, i: int, j: int,
-                                 layout: SurfaceLayout | None = None
-                                 ) -> List[ConjugationReport]:
-    """Homological-tier checks of the subsurface conjugation rules
-    A_i rho_ij = rho_ij A_j, A_j rho_ij = rho_ij A_i, and the two spellings
-    of rho_ij^A."""
-    layout = layout or SurfaceLayout(0)
-    calc = layout.calculator
-    r = expand(rho(layout, i, j))
-    ai = embed(a_word, i, layout)
-    aj = embed(a_word, j, layout)
-    ra = expand(rho_conjugated(layout, i, j, a_word))
-    out = []
-
-    def add(name, w1, w2):
-        out.append(ConjugationReport(name, calc.verify_homologically(w1, w2)))
-
-    add(f"A_{i} rho = rho A_{j}", ai * r, r * aj)
-    add(f"A_{j} rho = rho A_{i}", aj * r, r * ai)
-    add("rho^A = A_i rho A_i^-1", ra, compose(ai, r, ai.inverse()))
-    add("rho^A = A_j^-1 rho A_j", ra, compose(aj.inverse(), r, aj))
     return out

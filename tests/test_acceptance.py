@@ -16,11 +16,10 @@ from swapfact.braid import (BraidWord, compose, dynnikov_equal, equal,
                             full_twist, half_twist)
 from swapfact.constructions import (boundary_multitwist_factorization,
                                     commutator_relation, extend_to_genus,
-                                    extended_calculator, make_psi, phi,
-                                    phi_factorization,
-                                    verify_boundary_factorization, word_T)
+                                    extended_calculator, make_psi,
+                                    phi_factorization, word_T)
 from swapfact.dsl import parse, print_document
-from swapfact.framed import verify_swap_braid_relations
+from swapfact.framed import framed_equal
 from swapfact.invariants import (b1_of_total_space, endo_signature,
                                  euler_closed, hyperelliptic_obstruction,
                                  smith_normal_form)
@@ -30,6 +29,7 @@ from swapfact.swaps import SurfaceLayout
 
 from homology_oracle import first_homology, smith_normal_form_oracle
 from mod2_model import h1_dimension, matches_blocks, vanishing_cycles
+from swap_calculus import boundary_verdicts, framed_relations
 
 
 def report(name, ok, extra=""):
@@ -89,9 +89,11 @@ def test_criterion_02_garside_structure():
 
 def test_criterion_03_swap_braid_calculus():
     t0 = time.time()
-    reports = verify_swap_braid_relations()
+    relations = framed_relations()
+    ok = len(relations) == 7 and all(framed_equal(lhs, rhs)
+                                     for _, lhs, rhs in relations)
     elapsed = time.time() - t0
-    ok = all(r.passed for r in reports) and elapsed < 1
+    ok &= elapsed < 1
     assert report("3. framed swap calculus (7 relations, exact tier)", ok,
                   f"{elapsed:.3f}s")
 
@@ -144,7 +146,7 @@ def test_criterion_07_boundary_verification():
     for m in (0, 1, 2):
         t0 = time.time()
         f = boundary_multitwist_factorization(m)
-        sh, hom = verify_boundary_factorization(f, SurfaceLayout(0))
+        sh, hom = boundary_verdicts(f)
         times.append(time.time() - t0)
         ok &= sh and hom and times[-1] < 30
     assert report("7. boundary factorization: shadow = Mb(4) exactly, "

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import random
 import subprocess
@@ -233,6 +234,20 @@ class TestCLI:
         assert code == 1 and out == "" and "--l" in err
         assert not f.exists()
 
+    @pytest.mark.parametrize("family", ["phi", "boundary", "commutator"])
+    def test_generate_rejects_genus_outside_extend(self, tmp_path, capsys,
+                                                   family):
+        f = tmp_path / "w.txt"
+        code, out, err = run(["generate", family, "--m", "1", "--genus",
+                              "20", "-o", str(f)], capsys)
+        assert code == 1 and out == "" and "--genus" in err
+        assert not f.exists()
+
+    def test_generate_extend_defaults_to_genus_12(self, tmp_path, capsys):
+        f = tmp_path / "w.txt"
+        assert run(["generate", "extend", "-o", str(f)], capsys)[0] == 0
+        assert f.read_text().startswith("@twist g=12 s=2 l=0\n")
+
     @pytest.mark.parametrize("command", [["invariants", "{f}"],
                                          ["verify", "{f}", "{f}"]])
     def test_unknown_curve_exit_1(self, tmp_path, capsys, command):
@@ -418,6 +433,48 @@ class TestCLI:
         assert code == 0 and "letters: 104" in out
         text = out_file.read_text()
         assert print_document(parse(text)) == text
+
+    # sha256 of the artifact `generate` writes, of its stdout, and of the
+    # stdout of `invariants` on that artifact.  The commutator word is not
+    # positive, so `invariants` refuses it: exit 1, nothing on stdout.
+    @pytest.mark.parametrize("argv, digests, invariants_code", [
+        (["boundary", "--m", "0"],
+         ("f357d0d41cc3603faa69007bd8703c77acc05c8c197ed38c5a88f04ddfd316f4",
+          "dc25c0673fdc1e9764d95fc96999f9689eaa9830eb6ffac2e7d40866fa53e083",
+          "8969a83f3bf19a8a1b0a17dd1f2e3f1d6e6ca6c8ee2de9ef3eea9a99af6a2daf"),
+         0),
+        (["boundary", "--l", "1", "--m", "3"],
+         ("1554782b21a02b501728baf6b7fdb4c029621afce2bf9566db977d18650971d2",
+          "c510e13ce0e0a8969aa1f7da1a3c0c17b48ecd82cc985bfb8496a7d59487487b",
+          "67dfd3ce35ba8a40adf6d62ccb4e290b95541e2dfd26493947aa0b89bc72d9fc"),
+         0),
+        (["phi", "--m", "1"],
+         ("9f035d0ea158257f6e734927d66be181bb4b49007c46b2bedfe300c6578aa043",
+          "90ad5abcb9aa57c270980b3001a3a7305a954abc3e88fcb1a841c608ba56e132",
+          "60fd53711a49ecc94d596c9fc94fe81cda416119f62c3e0031f6cf02c466f3f7"),
+         0),
+        (["extend", "--genus", "12"],
+         ("3a088cf514c4acf931dec038223fe18c95480d25f3a4d7d8dff4340c26fb157d",
+          "f7dfa9250a0f4a6e26de13b243d116de8fd424af623fc9e4cbfbcb899934f0d5",
+          "0fcdba23d05ccb2df37fe625c2321c230d345a9b0fb5320fc423894c729ea5bb"),
+         0),
+        (["commutator", "--m", "2"],
+         ("0221b143855a1f14c4fe96309b68e5f0fc6965cf76bb003cf1bce39f74da38a4",
+          "adc9600ca5cd1300566750214358840647746f295caed11991423c5de9c4b0fa",
+          hashlib.sha256(b"").hexdigest()),
+         1),
+    ], ids=["boundary-l0-m0", "boundary-l1-m3", "phi-m1", "extend-g12",
+            "commutator-m2"])
+    def test_generated_bytes_are_pinned(self, tmp_path, capsys, argv,
+                                        digests, invariants_code):
+        f = tmp_path / "w.txt"
+        code, generated, _ = run(["generate", *argv, "-o", str(f)], capsys)
+        assert code == 0
+        code, invariants, _ = run(["invariants", str(f)], capsys)
+        assert code == invariants_code
+        sha = lambda b: hashlib.sha256(b).hexdigest()
+        assert (sha(f.read_bytes()), sha(generated.encode()),
+                sha(invariants.encode())) == digests
 
     def test_seed_reaches_the_builder_and_leaves_no_state(self, tmp_path,
                                                           capsys):

@@ -6,13 +6,14 @@ from swapfact.constructions import (PositiveFactorization,
                                     boundary_multitwist_factorization,
                                     commutator_relation, extend_to_genus,
                                     extended_calculator, insert_equals_append,
-                                    make_psi, phi, phi_factorization,
-                                    verify_boundary_factorization, word_T)
+                                    make_psi, phi, phi_factorization, word_T)
 from swapfact.framed import boundary_multitwist_framed, framed_equal
 from swapfact.surface import (HomologyCalculator, NamedCurve, SurfaceModel,
                               twist)
 from swapfact.swaps import SurfaceLayout, expand, rho, shadow
 from swapfact.words import compose
+
+from swap_calculus import boundary_verdicts
 
 
 @pytest.fixture(scope="module")
@@ -189,9 +190,8 @@ class TestBoundaryFactorization:
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_two_tier_verification(self, m):
-        lay = SurfaceLayout(0)
         f = boundary_multitwist_factorization(m)
-        sh, hom = verify_boundary_factorization(f, lay)
+        sh, hom = boundary_verdicts(f)
         assert sh and hom
 
     def test_skeleton_shadow_exact(self):

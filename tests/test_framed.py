@@ -6,7 +6,11 @@ from swapfact.braid import BraidWord, StrandMismatch
 from swapfact.framed import (FramedBraid, boundary_multitwist_framed,
                              delta_framed, fcompose, finverse, fpower,
                              framed_equal, framed_identity, m_framed,
-                             rho_framed, verify_swap_braid_relations)
+                             rho_framed)
+
+from swap_calculus import framed_relations
+
+RELATIONS = framed_relations()
 
 
 def test_generator_values():
@@ -48,7 +52,7 @@ def test_rho_exponent_and_total_framing():
     for (i, j) in [(1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4)]:
         r = rho_framed(i, j)
         assert r.underlying.exponent_sum() == 1
-        assert r.total_framing() == -1
+        assert sum(r.framings) == -1
 
 
 def test_boundary_multitwist():
@@ -97,8 +101,8 @@ def test_total_framing_homomorphism():
             m_framed(4), boundary_multitwist_framed(4)]
     for _ in range(30):
         a, b = rng.choice(gens), rng.choice(gens)
-        assert (fcompose(a, b).total_framing()
-                == a.total_framing() + b.total_framing())
+        assert (sum(fcompose(a, b).framings)
+                == sum(a.framings) + sum(b.framings))
 
 
 def test_rho_and_delta_framings_differ_by_two():
@@ -111,9 +115,14 @@ def test_rho_and_delta_framings_differ_by_two():
 
 
 def test_swap_relation_suite_passes():
-    reports = verify_swap_braid_relations()
-    assert len(reports) == 7
-    assert all(r.passed for r in reports)
+    assert len({name for name, _, _ in RELATIONS}) == 7
+    assert all(framed_equal(lhs, rhs) for _, lhs, rhs in RELATIONS)
+
+
+@pytest.mark.parametrize("name, lhs, rhs", RELATIONS,
+                         ids=[name for name, _, _ in RELATIONS])
+def test_swap_relation(name, lhs, rhs):
+    assert framed_equal(lhs, rhs), name
 
 
 def test_perturbed_framings_fail():

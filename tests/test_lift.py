@@ -7,10 +7,10 @@ from swapfact.braid import (BraidWord, band, compose, dynnikov_equal, equal,
 from swapfact.framed import (FramedBraid, boundary_multitwist_framed,
                              fcompose, framed_equal)
 from swapfact.lift import (CertificationError, band_word, block_full_twist,
-                           block_half_twist, lift, lift_band,
-                           rho_band_factorization, swap_bands,
-                           swap_braid_target)
-from swapfact.surface import HomologyCalculator, SurfaceModel
+                           block_half_twist, lift, rho_band_factorization,
+                           swap_bands, swap_braid_target)
+from swapfact.surface import (DerivedCurve, HomologyCalculator, SurfaceModel,
+                              chain_curve, twist)
 from swapfact.swaps import SurfaceLayout, expand, rho
 
 
@@ -62,11 +62,14 @@ def test_equal_braids_equal_actions():
 
 
 def test_lift_of_band_is_derived_twist():
-    w = lift_band(2, BraidWord.from_ints(6, [3, -4]))
-    assert len(w) == 1
-    (curve, sign), = w.letters
-    assert sign == 1
-    assert curve.base.tag == ("chain", 2)
+    # the lift of w.b_core.w^-1 acts as the twist about c_core carried by
+    # the lift of w
+    surface = SurfaceModel(2, 2)
+    calc = HomologyCalculator(surface)
+    conj = BraidWord.from_ints(6, [3, -4])
+    derived = twist(surface, DerivedCurve(chain_curve(2), lift(conj)))
+    assert calc.homology_action(lift(band(2, 0, conj))) \
+        == calc.homology_action(derived)
 
 
 def test_delta_hat_word_shape():
@@ -113,7 +116,8 @@ class TestSwapBands:
 
     def test_lifted_factorization_positive(self):
         surface = SurfaceModel(5, 2)
-        w = compose(*[lift_band(core, conj, surface)
+        w = compose(*[twist(surface, DerivedCurve(chain_curve(core),
+                                                  lift(conj, surface)))
                       for core, conj in rho_band_factorization(2)])
         assert len(w) == 6 and w.is_positive()
 

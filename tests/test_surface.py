@@ -83,14 +83,14 @@ class TestModel:
 
 class TestActions:
     def test_boundary_twist_trivial(self, genus2):
-        _, calc = genus2
-        m = calc.twist_action(boundary_curve(1))
+        s, calc = genus2
+        m = calc.homology_action(twist(s, boundary_curve(1)))
         assert m == identity_matrix(5)
 
     def test_twist_inverse(self, genus2):
-        _, calc = genus2
-        m = calc.twist_action(chain_curve(2), 1)
-        mi = calc.twist_action(chain_curve(2), -1)
+        s, calc = genus2
+        m = calc.homology_action(twist(s, chain_curve(2), 1))
+        mi = calc.homology_action(twist(s, chain_curve(2), -1))
         assert mat_mul(m, mi) == identity_matrix(5)
 
     def test_transvection_power(self, genus2):
@@ -110,20 +110,20 @@ class TestActions:
                                                       ("boundary", 1)]
         for tag in tags:
             for sign in (1, -1):
-                m = calc.twist_action(NamedCurve(tag), sign)
+                m = calc.homology_action(twist(s, NamedCurve(tag), sign))
                 mt = tuple(zip(*m))
                 assert mat_mul(mat_mul(mt, j), m) == j
         # and for a random derived curve
         conj = chain_word(s, [rng.randint(1, 5) for _ in range(6)])
-        m = calc.twist_action(DerivedCurve(chain_curve(2), conj))
+        m = calc.homology_action(twist(s, DerivedCurve(chain_curve(2), conj)))
         mt = tuple(zip(*m))
         assert mat_mul(mat_mul(mt, j), m) == j
 
     def test_det_one(self, genus2):
         import sympy
-        _, calc = genus2
+        s, calc = genus2
         for tag in [("chain", 3), ("dcurve", 2)]:
-            m = sympy.Matrix(calc.twist_action(NamedCurve(tag)))
+            m = sympy.Matrix(calc.homology_action(twist(s, NamedCurve(tag))))
             assert m.det() == 1
 
     def test_action_homomorphism(self, genus2):
