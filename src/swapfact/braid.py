@@ -173,31 +173,6 @@ class GarsideNormalForm:
     def canonical_length(self) -> int:
         return len(self.factors)
 
-    def is_trivial(self) -> bool:
-        return self.infimum == 0 and not self.factors
-
-    def word(self) -> BraidWord:
-        """Expand back to a braid word (used by idempotence tests)."""
-        n = self.strands
-        return compose(half_twist(n).power(self.infimum), *[
-            BraidWord.from_ints(n, _perm_word(f)) for f in self.factors])
-
-
-def _perm_word(p: Perm) -> list[int]:
-    """A reduced word for the permutation braid of p (bubble sort)."""
-    out: list[int] = []
-    q = list(p)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(q) - 1):
-            if q[i] > q[i + 1]:
-                q[i], q[i + 1] = q[i + 1], q[i]
-                out.append(i + 1)
-                changed = True
-    # out sorts q to identity; the braid word for p is out reversed
-    return out[::-1]
-
 
 def _left_weight(a: list[int], b: list[int]) -> bool:
     """Slide crossings from b into a, in place, until (a, b) is left-weighted;

@@ -174,7 +174,7 @@ _M_TOK = re.compile(r"M\((\d+)\)")
 
 def _parse_framed(params, toks) -> FramedBraid:
     n = params.get("n", 4)
-    out = framed_identity(n)
+    factors = [framed_identity(n)]
     for tok, ln, col in toks:
         base, k = _split_power(tok, ln, col)
         m = _PAIR_TOK.fullmatch(base)
@@ -190,8 +190,8 @@ def _parse_framed(params, toks) -> FramedBraid:
             x = boundary_multitwist_framed(n)
         else:
             raise ParseError(f"unknown framed token {base!r}", ln, col)
-        out = fcompose(out, fpower(x, k))
-    return out
+        factors.append(fpower(x, k))
+    return fcompose(*factors)
 
 
 def _print_framed(x: FramedBraid) -> str:
@@ -244,59 +244,67 @@ def _curve_of_token(base: str, ln: int, col: int):
                             for x in template))
 
 
-def _parse_twist_tokens(surface: SurfaceModel, toks, words=None
-                        ) -> TwistWord:
-    """words maps each img(...) conjugator's text read so far to its word:
-    equal conjugators become one object, which the class memo finds fast."""
-    words = {} if words is None else words
-    letters = []
-    stream = list(toks)
-    i = 0
-    while i < len(stream):
-        tok, ln, col = stream[i]
-        if tok.startswith("img("):
-            # img(<word>; <curve>) possibly spanning tokens
-            joined, j = _join_until(stream, i, ln, col)
-            m = re.fullmatch(r"img\((.*);(.*)\)(?:\^(-?\d+))?", joined)
-            if not m:
-                raise ParseError("malformed img(...) token", ln, col)
-            inner = words.get(m.group(1))
-            if inner is None:
-                inner = words[m.group(1)] = _parse_twist_tokens(
-                    surface, [(t, ln, col) for t in m.group(1).split()], words)
-            curve = DerivedCurve(_curve_of_token(m.group(2).strip(), ln, col),
-                                 inner)
-            letters.extend(_repeat(curve, _exponent(m.group(3), ln, col)))
-            i = j + 1
-            continue
-        base, k = _split_power(tok, ln, col)
-        letters.extend(_repeat(_curve_of_token(base, ln, col), k))
-        i += 1
-    return TwistWord(surface, letters)
-
-
-def _join_until(stream, i, ln, col):
-    """Join tokens from i until parentheses balance."""
-    depth = 0
-    parts = []
-    for j in range(i, len(stream)):
-        t = stream[j][0]
-        parts.append(t)
-        opens = t.count("(")
-        # t reaches at most opens deeper; only then count paren by paren
-        if depth + opens > MAX_NESTING and depth + _deepest(t) > MAX_NESTING:
-            raise ParseError(f"parentheses nest deeper than the cap "
-                             f"{MAX_NESTING}", ln, col)
-        depth += opens - t.count(")")
-        if depth == 0:
-            return " ".join(parts), j
-    raise ParseError("unbalanced parentheses", ln, col)
+def _groups(toks, openers):
+    """Yield each (token, line, column) as it is, except that a token
+    starting with one of openers is joined by single spaces with the tokens
+    after it, up to the one that balances its parentheses."""
+    toks = iter(toks)
+    for tok, ln, col in toks:
+        if tok.startswith(openers):
+            parts, depth = [], 0
+            for t, _, _ in itertools.chain([(tok, ln, col)], toks):
+                parts.append(t)
+                opens = t.count("(")
+                # t reaches at most opens deeper; only then count paren by
+                # paren
+                if depth + opens > MAX_NESTING \
+                        and depth + _deepest(t) > MAX_NESTING:
+                    raise ParseError(f"parentheses nest deeper than the cap "
+                                     f"{MAX_NESTING}", ln, col)
+                depth += opens - t.count(")")
+                if depth == 0:
+                    break
+            else:
+                raise ParseError("unbalanced parentheses", ln, col)
+            tok = " ".join(parts)
+        yield tok, ln, col
 
 
 def _deepest(t: str) -> int:
     """How many parentheses deep t reaches, read left to right."""
     return max(itertools.accumulate((c == "(") - (c == ")")
                                     for c in t if c in "()"), default=0)
+
+
+def _body(text: str, ln: int, col: int):
+    """The tokens of a group's body, each at the group's position."""
+    return ((m.group(0), ln, col) for m in _TOKEN.finditer(text))
+
+
+def _parse_twist_tokens(surface: SurfaceModel, toks, words=None
+                        ) -> TwistWord:
+    """words maps each img(...) conjugator's text read so far to its word:
+    equal conjugators become one object, which the class memo finds fast."""
+    words = {} if words is None else words
+    letters = []
+    for tok, ln, col in _groups(toks, ("img(",)):
+        if tok.startswith("img("):
+            # img(<word>; <curve>)
+            m = re.fullmatch(r"img\((.*);(.*)\)(?:\^(-?\d+))?", tok)
+            if not m:
+                raise ParseError("malformed img(...) token", ln, col)
+            inner = words.get(m.group(1))
+            if inner is None:
+                inner = words[m.group(1)] = _parse_twist_tokens(
+                    surface, _body(m.group(1), ln, col), words)
+            curve = DerivedCurve(_curve_of_token(m.group(2).strip(), ln, col),
+                                 inner)
+            k = _exponent(m.group(3), ln, col)
+        else:
+            base, k = _split_power(tok, ln, col)
+            curve = _curve_of_token(base, ln, col)
+        letters.extend(_repeat(curve, k))
+    return TwistWord(surface, letters)
 
 
 def _parse_twist(params, toks) -> TwistWord:
@@ -345,46 +353,35 @@ def _parse_swap(params, toks) -> SwapWord:
     layout = SurfaceLayout(l)
     sub = layout.subsurface_model()
     letters = []
-    stream = list(toks)
-    i = 0
-    while i < len(stream):
-        tok, ln, col = stream[i]
+    for tok, ln, col in _groups(toks, ("rhoA(", "sub(")):
         if tok.startswith(("rhoA(", "sub(")):
-            joined, j = _join_until(stream, i, ln, col)
-            i = j + 1
-            m = re.fullmatch(r"rhoA\((\d+),(\d+);(.*)\)(?:\^(-?\d+))?",
-                             joined)
+            m = re.fullmatch(r"rhoA\((\d+),(\d+);(.*)\)(?:\^(-?\d+))?", tok)
             if m:
-                a = _parse_twist_tokens(
-                    sub, [(t, ln, col) for t in m.group(3).split()])
+                a = _parse_twist_tokens(sub, _body(m.group(3), ln, col))
                 v = SwapWord(layout, ((("sub", int(m.group(1)), a), 1),))
                 kind = ("conj", v, ("rho", int(m.group(1)), int(m.group(2))))
                 k = _exponent(m.group(4), ln, col)
             else:
-                m = re.fullmatch(r"sub\((.*);\s*F(\d+)\)(?:\^(-?\d+))?",
-                                 joined)
+                m = re.fullmatch(r"sub\((.*);\s*F(\d+)\)(?:\^(-?\d+))?", tok)
                 if not m:
                     raise ParseError("malformed swap token", ln, col)
-                a = _parse_twist_tokens(
-                    sub, [(t, ln, col) for t in m.group(1).split()])
+                a = _parse_twist_tokens(sub, _body(m.group(1), ln, col))
                 kind = ("sub", int(m.group(2)), a)
                 k = _exponent(m.group(3), ln, col)
-            letters.extend(_repeat(kind, k))
-            continue
-        base, k = _split_power(tok, ln, col)
-        m = _PAIR_TOK.fullmatch(base)
-        if m:
-            kind = (m.group(1), int(m.group(2)), int(m.group(3)))
-            if not 1 <= kind[1] < kind[2] <= 4:
-                raise ParseError(f"bad swap pair {base}", ln, col)
-        elif _M_TOK.fullmatch(base):
-            kind = ("M", int(_M_TOK.fullmatch(base).group(1)))
-        elif base == "Mb":
-            kind = ("Mb",)
         else:
-            raise ParseError(f"unknown swap token {base!r}", ln, col)
+            base, k = _split_power(tok, ln, col)
+            m = _PAIR_TOK.fullmatch(base)
+            if m:
+                kind = (m.group(1), int(m.group(2)), int(m.group(3)))
+                if not 1 <= kind[1] < kind[2] <= 4:
+                    raise ParseError(f"bad swap pair {base}", ln, col)
+            elif _M_TOK.fullmatch(base):
+                kind = ("M", int(_M_TOK.fullmatch(base).group(1)))
+            elif base == "Mb":
+                kind = ("Mb",)
+            else:
+                raise ParseError(f"unknown swap token {base!r}", ln, col)
         letters.extend(_repeat(kind, k))
-        i += 1
     return SwapWord(layout, letters)
 
 

@@ -57,7 +57,9 @@ def fcompose(*factors: FramedBraid) -> FramedBraid:
 
     The composite's framing at starting strand i is the rightmost factor's
     framing there plus the next factor's framing at the strand's landing
-    position, and so on along the strand.
+    position, and so on along the strand.  One walk over the factors
+    carries the strands' landing positions; the underlying words are joined
+    once, so the cost is linear in the total length.
     """
     if not factors:
         raise ValueError("fcompose needs at least one factor")
@@ -65,13 +67,13 @@ def fcompose(*factors: FramedBraid) -> FramedBraid:
     for f in factors:
         if f.strands != n:
             raise StrandMismatch("framed braids on different strand counts")
-    out = factors[-1]
-    for g in factors[-2::-1]:
-        perm = out.underlying.permutation()
-        framings = tuple(out.framings[i] + g.framings[perm[i]]
-                         for i in range(n))
-        out = FramedBraid(compose(g.underlying, out.underlying), framings)
-    return out
+    landing, framings = range(n), [0] * n
+    for g in reversed(factors):
+        framings = [x + g.framings[p] for x, p in zip(framings, landing)]
+        perm = g.underlying.permutation()
+        landing = [perm[p] for p in landing]
+    return FramedBraid(compose(*(f.underlying for f in factors)),
+                       tuple(framings))
 
 
 def finverse(x: FramedBraid) -> FramedBraid:
@@ -82,11 +84,8 @@ def finverse(x: FramedBraid) -> FramedBraid:
 
 
 def fpower(x: FramedBraid, k: int) -> FramedBraid:
-    out = framed_identity(x.strands)
     base = x if k >= 0 else finverse(x)
-    for _ in range(abs(k)):
-        out = fcompose(base, out)
-    return out
+    return fcompose(framed_identity(x.strands), *[base] * abs(k))
 
 
 def delta_framed(i: int, j: int, n: int = 4) -> FramedBraid:

@@ -36,12 +36,6 @@ def identity_matrix(r: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
-
-
 # The largest layout parameter l an input may name (a DSL header's l=, the
 # CLI's --l).  Reading the boundary artifact back sets it: that file grows
 # from 4.3 MB at l = 7 to 21 MB at l = 12, and parsing it is most of the
@@ -156,14 +150,6 @@ class DerivedCurve:
 
 def chain_curve(k: int) -> NamedCurve:
     return NamedCurve(("chain", k))
-
-
-def boundary_curve(which: int) -> NamedCurve:
-    return NamedCurve(("boundary", which))
-
-
-def d_curve(which: int) -> NamedCurve:
-    return NamedCurve(("dcurve", which))
 
 
 def curve_table(surface: SurfaceModel) -> Dict[tuple, Vector]:

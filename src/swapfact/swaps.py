@@ -190,10 +190,8 @@ def _shadow_positive_kind(layout: SurfaceLayout, kind: tuple) -> FramedBraid:
 def shadow(word: SwapWord) -> FramedBraid:
     """The induced framed 4-braid: faithful on words in the plain swap
     letters; embedded subsurface classes shadow to the identity."""
-    out = framed_identity(4)
+    factors = [framed_identity(4)]
     for kind, sign in word.letters:
         s = _shadow_positive_kind(word.layout, kind)
-        if sign < 0:
-            s = finverse(s)
-        out = fcompose(out, s)
-    return out
+        factors.append(s if sign > 0 else finverse(s))
+    return fcompose(*factors)

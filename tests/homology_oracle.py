@@ -30,6 +30,13 @@ from math import gcd
 from swapfact.surface import DerivedCurve, NamedCurve  # data types only
 
 
+def mat_mul(a, b):
+    """The matrix product a b of tuple-of-rows matrices."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+                 for row in a)
+
+
 def pairing(u, v):
     """Algebraic intersection number in the chain basis."""
     return sum(u[i] * v[i + 1] - u[i + 1] * v[i] for i in range(len(u) - 1))

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from swapfact import cli
 from swapfact.braid import BraidWord
 from swapfact.cli import MAX_GENUS, main
+from swapfact.constructions import (boundary_multitwist_factorization,
+                                    extend_to_genus)
 from swapfact.dsl import (MAX_HEADER, MAX_NESTING, MAX_POWER, Document,
                           ParseError, parse, print_document)
 from swapfact.framed import FramedBraid
@@ -25,7 +27,65 @@ def run(args, capsys):
     return code, out.out, out.err
 
 
+def twist_letters(curves, depth):
+    """Printed twist letters over curves, img(...) nested at most depth
+    deep."""
+    letter = st.sampled_from(curves)
+    if depth:
+        letter = st.one_of(letter, st.builds(
+            lambda body, base: f"img({' '.join(body)}; {base})",
+            st.lists(twist_letters(curves, depth - 1), min_size=1,
+                     max_size=4),
+            st.sampled_from(curves)))
+    return st.builds(lambda t, inverse: t + "^-1" * inverse, letter,
+                     st.booleans())
+
+
+_SUB_CURVES = ["c1", "c2", "c5", "d1", "d2", "delta1"]
+_SWAP_LETTER = st.one_of(
+    st.sampled_from(["rho(1,2)", "rho(2,4)^-1", "delta(1,3)", "M(1)",
+                     "M(4)^-1", "Mb"]),
+    st.builds(lambda body, i: f"sub({' '.join(body)}; F{i})",
+              st.lists(twist_letters(_SUB_CURVES, 2), min_size=1, max_size=4),
+              st.integers(1, 4)),
+    st.builds(lambda pair, body: f"rhoA({pair};{' '.join(body)})",
+              st.sampled_from(["1,2", "1,3", "2,4"]),
+              st.lists(twist_letters(_SUB_CURVES, 2), min_size=1,
+                       max_size=4)))
+_WORDS = st.one_of(
+    st.tuples(st.just("@twist g=11 s=2 l=0"), st.lists(twist_letters(
+        ["c1", "c3", "d1", "delta1", "c(2,4)", "d(1,1)", "bd(F3)",
+         "bd(F2,2)"], 3), max_size=8)),
+    st.tuples(st.just("@swap l=0"), st.lists(_SWAP_LETTER, max_size=8)))
+
+
 class TestDSL:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_parsing_ignores_whitespace(self, data):
+        head, letters = data.draw(_WORDS)
+        canonical = print_document(parse(head + "\n" + " ".join(letters)))
+        head, body = canonical.split("\n", 1)
+        # every separator, inside groups too, becomes spaces and newlines
+        spaced = head + "\n" + "".join(
+            t + data.draw(st.text(" \n", min_size=1, max_size=4))
+            for t in body.split())
+        assert parse(spaced) == parse(canonical)
+        assert print_document(parse(spaced)) == canonical
+
+    def test_parse_memory_is_linear_in_the_text(self):
+        base = boundary_multitwist_factorization(0, seed=0)
+        text = print_document(
+            Document("twist", extend_to_genus(14, base).word))
+        tracemalloc.start()
+        try:
+            parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # tokens are read as they come: no list holds the whole document
+        assert peak < 10 * len(text)
+
     def test_braid_round_trip(self):
         d = parse("@braid n=3\nb1 b2 b1")
         assert isinstance(d.value, BraidWord)

@@ -1,8 +1,10 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from swapfact.braid import BraidWord, StrandMismatch
+from swapfact.braid import BraidWord, StrandMismatch, compose
 from swapfact.framed import (FramedBraid, boundary_multitwist_framed,
                              delta_framed, fcompose, finverse, fpower,
                              framed_equal, framed_identity, m_framed,
@@ -84,6 +86,38 @@ def test_fcompose_associative():
         a, b, c = (rng.choice(gens) for _ in range(3))
         assert framed_equal(fcompose(fcompose(a, b), c),
                             fcompose(a, fcompose(b, c)))
+
+
+def framed_braids(n):
+    return st.builds(
+        lambda ints, framings: FramedBraid(BraidWord.from_ints(n, ints),
+                                           tuple(framings)),
+        st.lists(st.integers(1, n - 1).flatmap(
+            lambda i: st.sampled_from([i, -i])), max_size=12),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+
+
+def compose_pair(a, b):
+    """a after b by the framing law: b's framing at strand i plus a's
+    framing where strand i lands under b."""
+    perm = b.underlying.permutation()
+    return FramedBraid(compose(a.underlying, b.underlying),
+                       tuple(f + a.framings[p]
+                             for f, p in zip(b.framings, perm)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fcompose_is_the_left_fold_of_pairs(data):
+    n = data.draw(st.integers(2, 6))
+    fs = data.draw(st.lists(framed_braids(n), min_size=1, max_size=8))
+    folded = functools.reduce(compose_pair, fs)
+    assert fcompose(*fs) == folded
+    assert functools.reduce(lambda a, b: fcompose(a, b), fs) == folded
+    k = data.draw(st.integers(-4, 4))
+    base = fs[0] if k >= 0 else finverse(fs[0])
+    assert fpower(fs[0], k) == functools.reduce(
+        compose_pair, [base] * abs(k), framed_identity(n))
 
 
 def test_inverse_cancels():

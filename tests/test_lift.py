@@ -47,7 +47,7 @@ def test_lift_homomorphism_on_homology():
     calc = HomologyCalculator(surface)
     u = BraidWord.from_ints(6, [1, 2])
     v = BraidWord.from_ints(6, [4, -5])
-    from swapfact.surface import mat_mul
+    from homology_oracle import mat_mul
     assert calc.homology_action(lift(compose(u, v))) == mat_mul(
         calc.homology_action(lift(u)), calc.homology_action(lift(v)))
 

@@ -4,9 +4,19 @@ import pytest
 
 from swapfact.surface import (DerivedCurve, HomologyCalculator, NamedCurve,
                               SurfaceMismatch, SurfaceModel, TwistWord,
-                              UnknownCurve, boundary_curve, chain_curve,
-                              d_curve, identity_matrix, mat_mul, twist)
+                              UnknownCurve, chain_curve, identity_matrix,
+                              twist)
 from swapfact.words import compose
+
+from homology_oracle import mat_mul
+
+
+def boundary_curve(which):
+    return NamedCurve(("boundary", which))
+
+
+def d_curve(which):
+    return NamedCurve(("dcurve", which))
 
 
 @pytest.fixture

@@ -53,7 +53,7 @@ class TestEmbed:
         calc = layout.calculator
         a = sub_twist(layout, ("chain", 2))
         b = sub_twist(layout, ("dcurve", 1), -1)
-        from swapfact.surface import mat_mul
+        from homology_oracle import mat_mul
         assert calc.homology_action(embed(compose(a, b), 3, layout)) \
             == mat_mul(calc.homology_action(embed(a, 3, layout)),
                        calc.homology_action(embed(b, 3, layout)))
