@@ -41,9 +41,9 @@ REPORT_SCHEMA = 1
 MAX_GENUS = 25
 
 
-def _read(path: str) -> Document:
+def _read(path: str, conjugators: dict | None = None) -> Document:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        return parse(fh.read(), conjugators)
 
 
 def _write(path: str, doc: Document) -> None:
@@ -122,7 +122,11 @@ def _report(tier: str, verdict: str, code: int) -> int:
 
 
 def _cmd_verify(args) -> int:
-    d1, d2 = _read(args.file1), _read(args.file2)
+    # one conjugator memo for both files: the class memo then finds their
+    # equal conjugators by identity instead of comparing them letter by
+    # letter
+    conjugators: dict = {}
+    d1, d2 = (_read(path, conjugators) for path in (args.file1, args.file2))
     if d1.kind != d2.kind:
         print("cannot compare documents of different kinds", file=sys.stderr)
         return 1

@@ -77,9 +77,23 @@ _HEADER_CAPS = {"n": MAX_HEADER, "g": MAX_HEADER, "l": MAX_LAYOUT}
 _HEADER_PARAM = re.compile(r"(\w+)=(-?\d+)")
 
 
+# A line and the boundary that ends it, for every boundary str.splitlines
+# recognises.  At the end of the text it matches the empty string.
+_LINE = re.compile(r"([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)"
+                   r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])?")
+
+
+def _lines(text: str):
+    """Yield the lines text.splitlines() gives, one at a time, so no second
+    copy of the whole document is held."""
+    for m in _LINE.finditer(text):
+        if m.end() > m.start():
+            yield m.group(1)
+
+
 def _tokenize(text: str):
     """Yield (token, line, column) skipping comments."""
-    for ln, line in enumerate(text.splitlines(), start=1):
+    for ln, line in enumerate(_lines(text), start=1):
         body = line.split("#", 1)[0]
         for m in _TOKEN.finditer(body):
             yield m.group(0), ln, m.start() + 1
@@ -307,13 +321,15 @@ def _parse_twist_tokens(surface: SurfaceModel, toks, words=None
     return TwistWord(surface, letters)
 
 
-def _parse_twist(params, toks) -> TwistWord:
+def _parse_twist(params, toks, conjugators=None) -> TwistWord:
     g, l = params.get("g"), params.get("l")
     if g is None:
         raise ParseError("twist header needs g=<genus>", 1, 1)
     layout = None if l is None else SurfaceLayout(l)
-    return _parse_twist_tokens(SurfaceModel(g, params.get("s", 2), layout),
-                               toks)
+    surface = SurfaceModel(g, params.get("s", 2), layout)
+    words = None if conjugators is None else conjugators.setdefault(surface,
+                                                                    {})
+    return _parse_twist_tokens(surface, toks, words)
 
 
 def _print_curve(curve) -> str:
@@ -439,8 +455,13 @@ _KINDS = {
 }
 
 
-def parse(text: str) -> Document:
+def parse(text: str, conjugators: dict | None = None) -> Document:
+    """The document text spells.  conjugators, when given, maps each
+    surface to the img(...) conjugators read on it so far: documents parsed
+    with one such dict share their equal conjugators as one object."""
     kind, params, rest = _parse_header(_tokenize(text))
+    if kind == "twist":
+        return Document(kind, _parse_twist(params, rest, conjugators))
     return Document(kind, _KINDS[kind][1](params, rest))
 
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,9 +17,9 @@ from swapfact.cli import MAX_GENUS, main
 from swapfact.constructions import (boundary_multitwist_factorization,
                                     extend_to_genus)
 from swapfact.dsl import (MAX_HEADER, MAX_NESTING, MAX_POWER, Document,
-                          ParseError, parse, print_document)
+                          ParseError, _tokenize, parse, print_document)
 from swapfact.framed import FramedBraid
-from swapfact.surface import MAX_LAYOUT, SurfaceLayout
+from swapfact.surface import MAX_LAYOUT, HomologyCalculator, SurfaceLayout
 
 
 def run(args, capsys):
@@ -85,6 +86,39 @@ class TestDSL:
             tracemalloc.stop()
         # tokens are read as they come: no list holds the whole document
         assert peak < 10 * len(text)
+
+    def test_parse_holds_no_copy_of_the_lines(self):
+        text = print_document(Document(
+            "twist", boundary_multitwist_factorization(0, 7, seed=0).word))
+        tracemalloc.start()
+        try:
+            parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the parsed word keeps about 2.4 bytes per byte of text; holding
+        # text.splitlines() for the whole parse made the peak 4.1 per byte
+        assert peak < 3.5 * len(text)
+
+    # every line boundary str.splitlines recognises
+    _LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                  "\x85", "\u2028", "\u2029"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(_LINE_ENDS + ["b1", "x", " ", "\t", "#"]),
+                    max_size=20))
+    def test_tokens_keep_their_splitlines_positions(self, pieces):
+        text = "".join(pieces)
+        want = [(m.group(0), ln, m.start() + 1)
+                for ln, line in enumerate(text.splitlines(), start=1)
+                for m in re.finditer(r"\S+", line.split("#", 1)[0])]
+        assert list(_tokenize(text)) == want
+
+    @pytest.mark.parametrize("end", _LINE_ENDS)
+    def test_parse_error_position_after_each_line_end(self, end):
+        with pytest.raises(ParseError) as err:
+            parse(f"@braid n=3{end}b1 # b9{end}{end}  b2 b7{end}")
+        assert (err.value.line, err.value.column) == (4, 6)
 
     def test_braid_round_trip(self):
         d = parse("@braid n=3\nb1 b2 b1")
@@ -457,6 +491,32 @@ class TestCLI:
         w = parse("@twist g=3 s=2\nimg(c1 c2; c3) c4 img(c1 c2; c5)").value
         first, second = w.letters[0][0], w.letters[2][0]
         assert first.conjugator is second.conjugator
+
+    def test_documents_parsed_with_one_memo_share_conjugators(self):
+        conjugators = {}
+        text = "@twist g=3 s=2\nimg(c1 c2; c3) c4"
+        a, b = (parse(text, conjugators).value for _ in range(2))
+        assert a.letters[0][0].conjugator is b.letters[0][0].conjugator
+        # a document on another surface keeps its own conjugators
+        c = parse("@twist g=4 s=2\nimg(c1 c2; c3)", conjugators).value
+        assert c.letters[0][0].conjugator.surface.genus == 4
+
+    def test_verify_reads_both_files_with_one_memo(self, tmp_path, capsys,
+                                                   monkeypatch):
+        seen = []
+        check = HomologyCalculator.verify_homologically
+
+        def spy(calc, w1, w2):
+            seen.append((w1, w2))
+            return check(calc, w1, w2)
+
+        monkeypatch.setattr(HomologyCalculator, "verify_homologically", spy)
+        path = tmp_path / "a.txt"
+        path.write_text("@twist g=3 s=2\nimg(c1 c2; c3) c4\n")
+        code, _, _ = run(["verify", str(path), str(path)], capsys)
+        (w1, w2), = seen
+        assert code == 0
+        assert w1.letters[0][0].conjugator is w2.letters[0][0].conjugator
 
     def test_verify_homology_consistent_exit_0(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
