@@ -161,8 +161,8 @@ class TestGarside:
 
     def test_left_weight_calls_per_letter_stay_flat(self, monkeypatch):
         # Each Delta the factors assemble forms at the right end.  Carried
-        # back through every factor, it made seeded mixed-sign B_4 words
-        # cost 94 calls per letter at 2,000 letters and 372 at 8,000.
+        # back through every factor, it made these mixed-sign B_4 words
+        # cost 105 calls per letter at 2,000 letters and 365 at 8,000.
         calls = 0
         left_weight = braid._left_weight
 
