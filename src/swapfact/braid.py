@@ -405,9 +405,13 @@ def dynnikov_equal(w1: BraidWord, w2: BraidWord) -> bool:
     """Independent word-problem oracle.
 
     True iff w1 w2^-1 acts trivially on the standard initial Dynnikov state
-    (and on a second probe from its orbit).  The lamination action is blind
-    to the central full twists, so exponent sums are compared first, which
-    is exactly the invariant the kernel retains.
+    and on its images under the powers of delta = b_1 b_2 ... b_{n-1}.
+    The state holds the round curve about punctures 1 and 2; delta^k
+    carries it to the curve about punctures k+1 and k+2 (read cyclically),
+    and a braid that fixes every one of these curves is a power of the
+    full twist.  The lamination action is blind to the central full twists,
+    so exponent sums are compared first, which is exactly the invariant
+    the kernel retains.
     """
     if w1.strands != w2.strands:
         raise StrandMismatch(
@@ -420,10 +424,10 @@ def dynnikov_equal(w1: BraidWord, w2: BraidWord) -> bool:
     if w1.permutation() != w2.permutation():
         return False
     diff = compose(w1, w2.inverse())
-    base = _padded_base(n)
-    if _act_padded(diff, base) != base:
-        return False
-    scramble = BraidWord.from_ints(
-        n, [((k % (n - 1)) + 1) * (1 if k % 3 else -1) for k in range(2 * n)])
-    probe = _act_padded(scramble, base)
-    return _act_padded(diff, probe) == probe
+    delta = BraidWord.from_ints(n, range(1, n))
+    probe = _padded_base(n)
+    for _ in range(n):
+        if _act_padded(diff, probe) != probe:
+            return False
+        probe = _act_padded(delta, probe)
+    return True

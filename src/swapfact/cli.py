@@ -27,18 +27,19 @@ from .dsl import MAX_POWER, Document, ParseError, parse, print_document
 from .framed import framed_equal
 from .invariants import fibration_invariants
 from .lift import lift as branched_lift
-from .surface import (MAX_LAYOUT, HomologyCalculator, TwistWord,
-                      UnknownCurve, identity_matrix)
+from .surface import MAX_LAYOUT, HomologyCalculator, TwistWord, UnknownCurve
 from .swaps import expand, shadow
 
 REPORT_SCHEMA = 1
 
 # The largest target genus of `generate extend`.  The extension adds
-# (2g+1)(2g+2) - 552 letters whose conjugators are prefixes of one word;
-# at this cap generating it and reading the result with verify or
-# invariants each stay within about 10 s on a 2-vCPU host, and at genus 26
-# generating it does not.
-MAX_GENUS = 25
+# (2g+1)(2g+2) - 552 letters whose conjugators are prefixes of one word,
+# and the calculator resolves their classes incrementally, so reading the
+# artifact back sets the cap.  At genus 45 (7,924 letters, 14 MB) a 2-vCPU
+# host took 1.8 s to generate it, 8.4 s for `invariants` of it (parse and
+# Smith normal form) and 4.7 s to `verify` it against the boundary
+# multitwist; at genus 47 `invariants` took up to 10.0 s.
+MAX_GENUS = 45
 
 
 def _read(path: str, conjugators: dict | None = None) -> Document:
@@ -189,10 +190,11 @@ def _cmd_verify(args) -> int:
 
 def _radical_signature(word, calc):
     """Signed count of letters whose class lies in the radical of the
-    intersection form: exactly what the homology action cannot see."""
-    pair, basis = calc.surface.pairing, identity_matrix(calc.surface.rank)
+    intersection form, that is, whose covector is zero: exactly what the
+    homology action cannot see."""
+    covector = calc.surface.covector
     return sum(sign for curve, sign in word.letters
-               if not any(pair(b, calc.curve_class(curve)) for b in basis))
+               if not any(covector(calc.curve_class(curve))))
 
 
 def _cmd_invariants(args) -> int:

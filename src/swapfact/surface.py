@@ -10,13 +10,22 @@ and [delta_2] = -[delta_1].
 Dehn twists act by transvections x -> x + sign*<x, c>*c; a twist word acts
 by the ordered product of its letters' transvections, rightmost first, same
 as braid words.  All arithmetic is exact (Python ints).
+
+One kernel builds actions: it keeps a matrix A as its list of columns and
+right-multiplies it by one letter's transvection at a time, a rank-one
+update A <- A + sign * (A c) (x) phi_c, where phi_c = <., c> is the
+letter's covector.  Reading a word's letters left to right from the
+identity gives its action.  The same kernel resolves derived curves whose
+conjugators are prefixes of one word, as the chain extension's are: the
+calculator keeps the columns of the last such prefix, and a conjugator
+that extends it costs only its new letters.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .words import ContextMismatch, Word
 
@@ -120,6 +129,12 @@ class SurfaceModel:
         return (sum(a * b for a, b in zip(u, v[1:]))
                 - sum(a * b for a, b in zip(u[1:], v)))
 
+    def covector(self, v: Sequence[int]) -> Vector:
+        """phi_v with phi_v[j] = <e_j, v> = v_{j+1} - v_{j-1}: the pairing
+        with v as a row, zero exactly when v is in the radical."""
+        padded = (0, *v, 0)
+        return tuple(b - a for a, b in zip(padded, padded[2:]))
+
     def boundary_class(self) -> Vector:
         if self.boundary != 2:
             raise ValueError("boundary class only defined for s = 2")
@@ -216,12 +231,25 @@ class HomologyCalculator:
     """Curve classes and transvection actions for one surface, read with
     the surface's curve_table.  Derived-curve classes are memoized on the
     base tag and the conjugator word, whose hash is cached.
+
+    The calculator keeps one prefix state: the letters of the last
+    conjugator resolved through it and the columns of that word's action.
+    A derived curve whose conjugator equals or extends those letters
+    advances the state over the new letters only and reads its class as
+    A . base; any other conjugator is applied to the base class letter by
+    letter.  Both paths give the same class.
     """
 
     def __init__(self, surface: SurfaceModel):
         self.surface = surface
         self.table = curve_table(surface)
         self._derived_memo: Dict[tuple, Vector] = {}
+        # None while the state is being advanced: the letters it steps
+        # over may be derived curves, whose resolution must not see it
+        self._prefix: Tuple[tuple, List[Vector]] | None = self._identity()
+
+    def _identity(self) -> Tuple[tuple, List[Vector]]:
+        return (), list(identity_matrix(self.surface.rank))
 
     def curve_class(self, curve) -> Vector:
         if isinstance(curve, NamedCurve):
@@ -237,11 +265,40 @@ class HomologyCalculator:
             key = (curve.base.tag, curve.conjugator)
             hit = self._derived_memo.get(key)
             if hit is None:
-                base = self.curve_class(curve.base)
-                hit = self.apply_word(curve.conjugator, base)
+                hit = self._resolve(curve)
                 self._derived_memo[key] = hit
             return hit
         raise TypeError(f"not a curve: {curve!r}")
+
+    def _resolve(self, curve: DerivedCurve) -> Vector:
+        base = self.curve_class(curve.base)
+        letters = curve.conjugator.letters
+        state = self._prefix
+        if state is None or letters[:len(state[0])] != state[0]:
+            return self.apply_word(curve.conjugator, base)
+        done, columns = state
+        self._prefix = None         # taken out while it advances
+        try:
+            self._advance(columns, letters[len(done):])
+        except BaseException:
+            self._prefix = self._identity()     # half advanced: start over
+            raise
+        self._prefix = letters, columns
+        return _combine(columns, base)
+
+    def _advance(self, columns: List[Vector], letters: Sequence[tuple]
+                 ) -> None:
+        """Right-multiply the matrix with these columns by each letter's
+        transvection in turn, in place: A <- A + sign * (A c) (x) phi_c."""
+        covector = self.surface.covector
+        for curve, sign in letters:
+            c = self.curve_class(curve)
+            ac = _combine(columns, c)
+            for j, f in enumerate(covector(c)):
+                if f:
+                    k = sign * f
+                    columns[j] = tuple([a + k * b
+                                        for a, b in zip(columns[j], ac)])
 
     def _transvect(self, v: Vector, sign: int, x: Vector) -> Vector:
         coef = sign * self.surface.pairing(x, v)
@@ -255,9 +312,11 @@ class HomologyCalculator:
         return x
 
     def homology_action(self, w: TwistWord) -> Matrix:
-        # act column by column: column j of the matrix is w applied to e_j
-        return tuple(zip(*(self.apply_word(w, e)
-                           for e in identity_matrix(self.surface.rank))))
+        """The action as a tuple of rows, built from the identity by the
+        column kernel over the letters, leftmost first."""
+        columns = list(identity_matrix(self.surface.rank))
+        self._advance(columns, w.letters)
+        return tuple(zip(*columns))
 
     def verify_homologically(self, w1: TwistWord, w2: TwistWord) -> bool:
         """Necessary condition for w1 = w2 in the mapping class group: a
@@ -269,3 +328,16 @@ class HomologyCalculator:
 
     def is_identity_action(self, w: TwistWord) -> bool:
         return self.homology_action(w) == identity_matrix(self.surface.rank)
+
+
+def _combine(columns: Sequence[Vector], v: Sequence[int]) -> Vector:
+    """A v for the matrix A with these columns."""
+    terms = [(x, columns[k]) for k, x in enumerate(v) if x]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    out = [0] * len(columns[0]) if columns else []
+    for x, col in terms:
+        for i, a in enumerate(col):
+            if a:
+                out[i] += x * a
+    return tuple(out)

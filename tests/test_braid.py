@@ -313,6 +313,20 @@ class TestDynnikov:
     def test_exponent_sum_filter(self):
         assert not dynnikov_equal(W(3, 1), W(3, 1, 1, 1))
 
+    @pytest.mark.parametrize("n", (3, 4, 5, 6))
+    def test_oracle_sees_twists_that_fix_one_probe(self, n):
+        # b_i^{n(n-1)} times the inverse full twist has exponent sum 0 and
+        # fixes the round curve about punctures i, i+1; an oracle with too
+        # few probes called it trivial (for n = 3 a hypothesis draw met
+        # b_1^-5 against b_2^-1 b_1^-2 b_2^-1 b_1^-1)
+        for i in range(1, n):
+            w = compose(BraidWord.from_ints(n, [i] * (n * (n - 1))),
+                        full_twist(n).inverse())
+            assert not equal(w, BraidWord(n))
+            assert not dynnikov_equal(w, BraidWord(n))
+        assert not dynnikov_equal(W(3, -1, -1, -1, -1, -1),
+                                  W(3, -2, -1, -1, -2, -1))
+
 
 class TestOracleAgreement:
     def test_oracles_agree_on_random_pairs(self):

@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from swapfact.constructions import (boundary_multitwist_factorization,
+                                    extend_to_genus)
+from swapfact.dsl import Document, parse, print_document
 from swapfact.surface import (DerivedCurve, HomologyCalculator, NamedCurve,
                               SurfaceMismatch, SurfaceModel, TwistWord,
                               UnknownCurve, chain_curve, identity_matrix,
                               twist)
 from swapfact.words import compose
 
-from homology_oracle import mat_mul
+from homology_oracle import ClassResolver, mat_mul
 
 
 def boundary_curve(which):
@@ -57,6 +61,17 @@ class TestModel:
             v = tuple(rng.randint(-9, 9) for _ in range(r))
             assert s.pairing(u, v) == sum(u[i] * j[i][k] * v[k]
                                           for i in range(r) for k in range(r))
+
+    @pytest.mark.parametrize("r", range(1, 10))
+    def test_covector_is_the_pairing_row(self, r):
+        s = SurfaceModel(r // 2, 2 if r % 2 else 0)
+        rng = random.Random(r)
+        for _ in range(20):
+            v = tuple(rng.randint(-9, 9) for _ in range(r))
+            assert s.covector(v) == tuple(s.pairing(e, v)
+                                          for e in identity_matrix(r))
+        assert not any(SurfaceModel(3, 2).covector(
+            SurfaceModel(3, 2).boundary_class()))
 
     def test_boundary_class_in_radical(self, genus2):
         s, calc = genus2
@@ -207,3 +222,127 @@ class TestCurves:
         first = calc.curve_class(d)
         assert calc.curve_class(DerivedCurve(chain_curve(2), conj)) == first
         assert first == calc.apply_word(conj, calc.curve_class(chain_curve(2)))
+
+
+# ---------------------------------------------------------------------------
+# Letter classes and actions against the from-scratch resolver
+# ---------------------------------------------------------------------------
+
+def _extend(genus):
+    return extend_to_genus(genus, boundary_multitwist_factorization(0)).word
+
+
+_FAMILIES = ([("extend", g, 0, lambda g=g: _extend(g)) for g in (12, 14)]
+             + [("boundary", 11 + 4 * l, l,
+                 lambda l=l, m=m: boundary_multitwist_factorization(m, l).word)
+                for l in (0, 1, 2) for m in (0, 1)])
+
+
+class TestClassResolution:
+    @pytest.mark.parametrize("family, genus, l, build", _FAMILIES,
+                             ids=["extend-g12", "extend-g14", "boundary-l0-m0",
+                                  "boundary-l0-m1", "boundary-l1-m0",
+                                  "boundary-l1-m1", "boundary-l2-m0",
+                                  "boundary-l2-m1"])
+    def test_letter_classes_match_the_oracle(self, family, genus, l, build):
+        word = build()
+        parsed = parse(print_document(Document("twist", word))).value
+        resolve = ClassResolver(genus, l)
+        expected = [resolve(c) for c, _ in word.letters]
+        for w in (word, parsed):
+            calc = HomologyCalculator(w.surface)
+            assert [calc.curve_class(c) for c, _ in w.letters] == expected
+
+    @pytest.mark.parametrize("build, genus, l", [
+        (lambda: _extend(12), 12, 0),
+        (lambda: boundary_multitwist_factorization(1, 1).word, 15, 1)])
+    def test_action_matches_oracle_columns(self, build, genus, l):
+        word = build()
+        resolve = ClassResolver(genus, l)
+        columns = [resolve.apply(word.letters, resolve.unit(k))
+                   for k in range(1, resolve.rank + 1)]
+        calc = HomologyCalculator(word.surface)
+        assert calc.homology_action(word) == tuple(zip(*columns))
+
+    def test_class_resolution_steps_per_letter_stay_flat(self, monkeypatch):
+        # The extension's conjugators are prefixes of the 552-letter chain
+        # word (t_1 ... t_23)^24.  Applied from scratch, each distinct one
+        # cost its whole length: 272 class lookups per appended letter at
+        # genus 12, and 118 at genus 20, where repeated blocks hit the memo.
+        calls = 0
+        curve_class = HomologyCalculator.curve_class
+
+        def counted(self, curve):
+            nonlocal calls
+            calls += 1
+            return curve_class(self, curve)
+
+        monkeypatch.setattr(HomologyCalculator, "curve_class", counted)
+        base = boundary_multitwist_factorization(0)
+        per_letter = []
+        for genus in (12, 16, 20):
+            fact = extend_to_genus(genus, base)
+            added = [c for (c, _), note in zip(fact.word.letters,
+                                               fact.provenance)
+                     if note.startswith("appended chain letter")]
+            calc = HomologyCalculator(fact.word.surface)
+            calls = 0
+            for curve in added:
+                calc.curve_class(curve)
+            # each chain-word letter is stepped over once in all, beside
+            # a letter's own lookup and its base's
+            assert calls <= 23 * 24 + 2 * len(added)
+            per_letter.append(calls / len(added))
+        assert per_letter == sorted(per_letter, reverse=True), per_letter
+
+    def test_failed_advance_leaves_a_usable_state(self, genus2):
+        s, calc = genus2
+        bad = TwistWord(s, [(chain_curve(1), 1), (chain_curve(9), 1)])
+        with pytest.raises(UnknownCurve):
+            calc.curve_class(DerivedCurve(chain_curve(2), bad))
+        good = chain_word(s, [1, 2, 3])
+        resolve = ClassResolver(2)
+        for k in (1, 2, 3):
+            curve = DerivedCurve(chain_curve(k), good)
+            assert calc.curve_class(curve) == resolve(curve)
+
+
+_NAMES = [NamedCurve(("chain", k)) for k in range(1, 8)] + [
+    NamedCurve(("dcurve", 1)), NamedCurve(("dcurve", 2))]
+
+
+@st.composite
+def prefix_curves(draw):
+    """Derived curves over prefixes of one word P, shortest first.  Letters
+    of P may themselves be derived curves over earlier prefixes of P, so
+    advancing the prefix state meets curves that would advance it too."""
+    s = SurfaceModel(3, 2)
+    letters = []
+    for i in range(draw(st.integers(1, 14))):
+        curve = draw(st.sampled_from(_NAMES))
+        if i and draw(st.booleans()):
+            curve = DerivedCurve(curve, TwistWord(
+                s, letters[:draw(st.integers(0, i))]))
+        letters.append((curve, draw(st.sampled_from((1, -1)))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(letters)),
+                                min_size=1, max_size=8)))
+    return [DerivedCurve(draw(st.sampled_from(_NAMES)),
+                         TwistWord(s, letters[:c])) for c in cuts]
+
+
+class TestNestedPrefixes:
+    @settings(max_examples=150, deadline=None)
+    @given(prefix_curves())
+    def test_extending_conjugators(self, curves):
+        calc, resolve = HomologyCalculator(SurfaceModel(3, 2)), ClassResolver(3)
+        assert [calc.curve_class(c) for c in curves] == \
+            [resolve(c) for c in curves]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_resolution_order(self, data):
+        curves = data.draw(prefix_curves())
+        shuffled = data.draw(st.permutations(curves))
+        calc, resolve = HomologyCalculator(SurfaceModel(3, 2)), ClassResolver(3)
+        assert [calc.curve_class(c) for c in shuffled] == \
+            [resolve(c) for c in shuffled]
