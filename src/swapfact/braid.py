@@ -406,10 +406,10 @@ def dynnikov_equal(w1: BraidWord, w2: BraidWord) -> bool:
 
     True iff w1 w2^-1 acts trivially on the standard initial Dynnikov state
     and on its images under the powers of delta = b_1 b_2 ... b_{n-1}.
-    The state holds the round curve about punctures 1 and 2; delta^k
-    carries it to the curve about punctures k+1 and k+2 (read cyclically),
-    and a braid that fixes every one of these curves is a power of the
-    full twist.  The lamination action is blind to the central full twists,
+    The state holds the round curve about punctures 1 and 2, delta turns
+    the punctures like a rotation, so the n images hold a curve about each
+    pair of adjacent punctures, and a braid that fixes all of these curves
+    is a power of the full twist.  The lamination action is blind to the central full twists,
     so exponent sums are compared first, which is exactly the invariant
     the kernel retains.
     """

@@ -228,39 +228,37 @@ class TestCurves:
 # Letter classes and actions against the from-scratch resolver
 # ---------------------------------------------------------------------------
 
-def _extend(genus):
-    return extend_to_genus(genus, boundary_multitwist_factorization(0)).word
+def _word(family, k, m=0):
+    """The extension to genus k, or the boundary factorization at l = k."""
+    if family == "extend":
+        return extend_to_genus(k, boundary_multitwist_factorization(0)).word
+    return boundary_multitwist_factorization(m, k).word
 
 
-_FAMILIES = ([("extend", g, 0, lambda g=g: _extend(g)) for g in (12, 14)]
-             + [("boundary", 11 + 4 * l, l,
-                 lambda l=l, m=m: boundary_multitwist_factorization(m, l).word)
-                for l in (0, 1, 2) for m in (0, 1)])
+def _resolver(word):
+    return ClassResolver(word.surface.genus, word.surface.layout.l)
 
 
 class TestClassResolution:
-    @pytest.mark.parametrize("family, genus, l, build", _FAMILIES,
-                             ids=["extend-g12", "extend-g14", "boundary-l0-m0",
-                                  "boundary-l0-m1", "boundary-l1-m0",
-                                  "boundary-l1-m1", "boundary-l2-m0",
-                                  "boundary-l2-m1"])
-    def test_letter_classes_match_the_oracle(self, family, genus, l, build):
-        word = build()
+    @pytest.mark.parametrize("family, k, m", [
+        ("extend", 12, 0), ("extend", 14, 0),
+        *[("boundary", l, m) for l in (0, 1, 2) for m in (0, 1)]])
+    def test_letter_classes_match_the_oracle(self, family, k, m):
+        word = _word(family, k, m)
         parsed = parse(print_document(Document("twist", word))).value
-        resolve = ClassResolver(genus, l)
+        resolve = _resolver(word)
         expected = [resolve(c) for c, _ in word.letters]
         for w in (word, parsed):
             calc = HomologyCalculator(w.surface)
             assert [calc.curve_class(c) for c, _ in w.letters] == expected
 
-    @pytest.mark.parametrize("build, genus, l", [
-        (lambda: _extend(12), 12, 0),
-        (lambda: boundary_multitwist_factorization(1, 1).word, 15, 1)])
-    def test_action_matches_oracle_columns(self, build, genus, l):
-        word = build()
-        resolve = ClassResolver(genus, l)
-        columns = [resolve.apply(word.letters, resolve.unit(k))
-                   for k in range(1, resolve.rank + 1)]
+    @pytest.mark.parametrize("family, k, m", [("extend", 12, 0),
+                                              ("boundary", 1, 1)])
+    def test_action_matches_oracle_columns(self, family, k, m):
+        word = _word(family, k, m)
+        resolve = _resolver(word)
+        columns = [resolve.apply(word.letters, resolve.unit(j))
+                   for j in range(1, resolve.rank + 1)]
         calc = HomologyCalculator(word.surface)
         assert calc.homology_action(word) == tuple(zip(*columns))
 
