@@ -29,8 +29,7 @@ The two procedures share no code and are required by the test suite to agree.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 from .words import ContextMismatch, Word, compose
@@ -314,37 +313,6 @@ def equal(w1: BraidWord, w2: BraidWord) -> bool:
 # so fixed-width arithmetic is forbidden in this module.
 
 
-@dataclass(frozen=True)
-class DynnikovState:
-    """Coordinate vector of an integral lamination of the n-punctured disk.
-
-    The private pads field carries the two boundary coordinate pairs of the
-    ambient (n+2)-punctured disk, which make the action well defined; it is
-    set by :func:`dynnikov_base_state` and :func:`dynnikov_act`.
-    """
-    strands: int
-    coords: Tuple[int, ...]
-    pads: tuple = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.strands < 3:
-            raise ValueError("Dynnikov coordinates need n >= 3")
-        if len(self.coords) != 2 * self.strands - 4:
-            raise ValueError(
-                f"expected {2 * self.strands - 4} coordinates, "
-                f"got {len(self.coords)}")
-
-
-def dynnikov_base_state(n: int) -> DynnikovState:
-    """The standard initial state: the nested round curves around punctures
-    1..k+1 taken with multiplicity k, so a_i = 0 and b_i = i."""
-    coords: list[int] = []
-    for i in range(1, n - 1):
-        coords.extend((0, i))
-    padded = _padded_base(n)
-    return DynnikovState(n, tuple(coords), (padded[0], padded[-1]))
-
-
 def _padded_base(n: int) -> list[tuple[int, int]]:
     """Coordinates of the base multicurve inside the (n+2)-punctured disk.
 
@@ -381,24 +349,6 @@ def _act_padded(w: BraidWord, pairs: list) -> list:
     for i, sign in reversed(w.letters):
         _act_interior(pairs, i + 1, sign)
     return pairs
-
-
-def dynnikov_act(w: BraidWord, state: DynnikovState | None = None) -> DynnikovState:
-    """Image under w of the standard initial state, or of another state
-    previously produced by this function."""
-    if state is None:
-        state = dynnikov_base_state(w.strands)
-    if w.strands != state.strands:
-        raise StrandMismatch("braid and state strand counts differ")
-    if state.pads is None:
-        raise ValueError("state lacks ambient pads; start from "
-                         "dynnikov_base_state")
-    pairs = [state.pads[0]] + [
-        (state.coords[2 * k], state.coords[2 * k + 1])
-        for k in range(w.strands - 2)] + [state.pads[1]]
-    out = _act_padded(w, pairs)
-    flat = tuple(itertools.chain.from_iterable(out[1:-1]))
-    return DynnikovState(w.strands, flat, (out[0], out[-1]))
 
 
 def dynnikov_equal(w1: BraidWord, w2: BraidWord) -> bool:

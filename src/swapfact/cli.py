@@ -28,7 +28,7 @@ from .framed import framed_equal
 from .invariants import fibration_invariants
 from .lift import lift as branched_lift
 from .surface import MAX_LAYOUT, HomologyCalculator, TwistWord, UnknownCurve
-from .swaps import expand, shadow
+from .swaps import expand, has_subsurface_letters, shadow
 
 REPORT_SCHEMA = 1
 
@@ -151,15 +151,22 @@ def _cmd_verify(args) -> int:
         if layout != d2.value.layout:
             print("swap words on different layouts", file=sys.stderr)
             return 1
-        if tier == "framed" or tier == "auto":
+        # the shadow of a subsurface letter is the identity, so the framed
+        # tier decides only pairs without one
+        blind = has_subsurface_letters(d1.value) or has_subsurface_letters(
+            d2.value)
+        if tier == "framed" and blind:
+            print("tier-insufficient: the framed shadow cannot see "
+                  "subsurface letters (sub, rhoA); use --tier homology",
+                  file=sys.stderr)
+            return 3
+        if tier == "framed" or (tier == "auto" and not blind):
             ok = framed_equal(shadow(d1.value), shadow(d2.value))
             return _report("framed", "equal" if ok else "refuted",
                            0 if ok else 2)
-        if tier == "homology":
-            ok = layout.calculator.verify_homologically(
-                expand(d1.value), expand(d2.value))
-            return _report("homology", "consistent" if ok else "refuted",
-                           0 if ok else 2)
+        if tier in ("homology", "auto"):
+            return _verify_homologically(expand(d1.value), expand(d2.value),
+                                         layout.calculator)
         print("swap words: use --tier framed or homology", file=sys.stderr)
         return 3
     # twist words: only the homological necessary condition is available
@@ -167,6 +174,10 @@ def _cmd_verify(args) -> int:
         print("tier-insufficient: the exact mapping class group word problem "
               "is out of scope; homology refutes but cannot certify",
               file=sys.stderr)
+        return 3
+    if tier == "framed":
+        print("tier-insufficient: twist words have no framed shadow; use "
+              "--tier homology", file=sys.stderr)
         return 3
     # a plain word is read with the layout the other word names
     s1, s2 = d1.value.surface, d2.value.surface
@@ -176,7 +187,11 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
         return 1
     w1, w2 = (TwistWord(surface, d.value.letters) for d in (d1, d2))
-    calc = HomologyCalculator(surface)
+    return _verify_homologically(w1, w2, HomologyCalculator(surface))
+
+
+def _verify_homologically(w1, w2, calc) -> int:
+    """The homology tier's report on two twist words on calc's surface."""
     if not calc.verify_homologically(w1, w2):
         return _report("homology", "refuted", 2)
     if _radical_signature(w1, calc) != _radical_signature(w2, calc):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .surface import HomologyCalculator
 from .constructions import PositiveFactorization
@@ -116,24 +116,30 @@ def b1_of_total_space(fact: PositiveFactorization,
     of a bookkeeping defect) and are rejected rather than counted.
     """
     surface = fact.word.surface
-    classes = [calc.curve_class(c) for c, _ in fact.word.letters]
     r = surface.rank
     if cap:
         if surface.boundary != 2:
             raise ValueError("capping expects a two-boundary fiber")
         e = surface.boundary_class()
-        # coordinates in the basis e, c_2, ..., c_r (unimodular since
-        # e_1 = 1) are v_1 and v_i - e_i v_1; drop the e-coordinate
-        classes = [tuple(x - y * v[0] for x, y in zip(v[1:], e[1:]))
-                   for v in classes]
         rank_ambient = r - 1
     else:
         rank_ambient = r
-    for v, (c, _) in zip(classes, fact.word.letters):
-        if not any(v):
+    # the letters' classes repeat (at genus 45, 7,924 letters have 175
+    # classes up to sign); a row and its negative span the same lattice,
+    # so each is kept once, with its first nonzero entry positive
+    rows: Dict[Tuple[int, ...], None] = {}
+    for c, _ in fact.word.letters:
+        v = calc.curve_class(c)
+        if cap:
+            # coordinates in the basis e, c_2, ..., c_r (unimodular since
+            # e_1 = 1) are v_1 and v_i - e_i v_1; drop the e-coordinate
+            v = tuple(x - y * v[0] for x, y in zip(v[1:], e[1:]))
+        lead = next((x for x in v if x), 0)
+        if not lead:
             raise ValueError(f"letter {c!r} has null class: separating "
                              "vanishing cycle or class bookkeeping defect")
-    factors = smith_normal_form(classes)
+        rows[v if lead > 0 else tuple(-x for x in v)] = None
+    factors = smith_normal_form(list(rows))
     rank = sum(1 for d in factors if d != 0)
     torsion = tuple(d for d in factors if d not in (0, 1))
     return HomologySummary(rank_ambient - rank, torsion)

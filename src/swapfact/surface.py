@@ -15,10 +15,14 @@ One kernel builds actions: it keeps a matrix A as its list of columns and
 right-multiplies it by one letter's transvection at a time, a rank-one
 update A <- A + sign * (A c) (x) phi_c, where phi_c = <., c> is the
 letter's covector.  Reading a word's letters left to right from the
-identity gives its action.  The same kernel resolves derived curves whose
-conjugators are prefixes of one word, as the chain extension's are: the
-calculator keeps the columns of the last such prefix, and a conjugator
-that extends it costs only its new letters.
+identity gives its action.  The same kernel resolves every derived curve:
+the calculator keeps the columns of the last conjugator it resolved and
+walks them to the next one, stepping back over the letters past their
+common prefix (a transvection's inverse is the same curve with the other
+sign) or starting again from the identity, whichever steps fewer, then
+forward over the new letters.  The generated families' conjugators share
+long prefixes, so each costs about the letters in which it differs from
+the last.
 """
 
 from __future__ import annotations
@@ -126,8 +130,7 @@ class SurfaceModel:
         first 2g chain classes of the capped surface; their mutual
         intersections are unchanged by capping, so the same form applies
         (and is nondegenerate there)."""
-        return (sum(a * b for a, b in zip(u, v[1:]))
-                - sum(a * b for a, b in zip(u[1:], v)))
+        return sum(a * b for a, b in zip(u, self.covector(v)))
 
     def covector(self, v: Sequence[int]) -> Vector:
         """phi_v with phi_v[j] = <e_j, v> = v_{j+1} - v_{j-1}: the pairing
@@ -233,23 +236,19 @@ class HomologyCalculator:
     base tag and the conjugator word, whose hash is cached.
 
     The calculator keeps one prefix state: the letters of the last
-    conjugator resolved through it and the columns of that word's action.
-    A derived curve whose conjugator equals or extends those letters
-    advances the state over the new letters only and reads its class as
-    A . base; any other conjugator is applied to the base class letter by
-    letter.  Both paths give the same class.
+    conjugator resolved through it and the columns A of that word's
+    action.  A derived curve walks a copy of the state to its conjugator
+    and reads its class as A . base.  The letters walked over may be
+    derived curves that walk the state too; since each walk works on a
+    copy and stores it only when done, the state is valid throughout.
     """
 
     def __init__(self, surface: SurfaceModel):
         self.surface = surface
         self.table = curve_table(surface)
         self._derived_memo: Dict[tuple, Vector] = {}
-        # None while the state is being advanced: the letters it steps
-        # over may be derived curves, whose resolution must not see it
-        self._prefix: Tuple[tuple, List[Vector]] | None = self._identity()
-
-    def _identity(self) -> Tuple[tuple, List[Vector]]:
-        return (), list(identity_matrix(self.surface.rank))
+        self._prefix: Tuple[tuple, List[Vector]] = (
+            (), list(identity_matrix(surface.rank)))
 
     def curve_class(self, curve) -> Vector:
         if isinstance(curve, NamedCurve):
@@ -271,18 +270,19 @@ class HomologyCalculator:
         raise TypeError(f"not a curve: {curve!r}")
 
     def _resolve(self, curve: DerivedCurve) -> Vector:
+        """Walk a copy of the prefix state to the conjugator, back over the
+        letters past their common prefix or up from the identity, whichever
+        steps fewer, and read the class as A . base."""
         base = self.curve_class(curve.base)
         letters = curve.conjugator.letters
-        state = self._prefix
-        if state is None or letters[:len(state[0])] != state[0]:
-            return self.apply_word(curve.conjugator, base)
-        done, columns = state
-        self._prefix = None         # taken out while it advances
-        try:
-            self._advance(columns, letters[len(done):])
-        except BaseException:
-            self._prefix = self._identity()     # half advanced: start over
-            raise
+        done, columns = self._prefix
+        p = _common_prefix(done, letters)
+        if len(done) - p <= p:
+            columns = list(columns)
+            self._advance(columns, [(c, -s) for c, s in reversed(done[p:])])
+        else:
+            p, columns = 0, list(identity_matrix(self.surface.rank))
+        self._advance(columns, letters[p:])
         self._prefix = letters, columns
         return _combine(columns, base)
 
@@ -328,6 +328,16 @@ class HomologyCalculator:
 
     def is_identity_action(self, w: TwistWord) -> bool:
         return self.homology_action(w) == identity_matrix(self.surface.rank)
+
+
+def _common_prefix(done: tuple, letters: tuple) -> int:
+    """The length of the longest common prefix of two letter tuples."""
+    if letters[:len(done)] == done:     # one C-speed test for an extension
+        return len(done)
+    for k, (x, y) in enumerate(zip(done, letters)):
+        if x != y:
+            return k
+    return len(letters)
 
 
 def _combine(columns: Sequence[Vector], v: Sequence[int]) -> Vector:

@@ -102,11 +102,15 @@ def rho(layout: SurfaceLayout, i: int, j: int, sign: int = 1) -> SwapWord:
 
 # --- expansion to twist words ----------------------------------------------
 
+# Keyed on l, not on a caller's layout: a cached layout would keep the
+# homology calculator it owns, and that calculator's class memo, for the
+# life of the process.
 @functools.lru_cache(maxsize=MAX_LAYOUT + 1)
-def _rho_expansions(layout: SurfaceLayout) -> Tuple[TwistWord, ...]:
-    """Positive expansions of rho_{i,i+1} for i = 1, 2, 3: the certified
-    bands of the block swap braid, shifted onto clusters i, i+1, lifted,
-    and transported by the lifted cluster-i half twist."""
+def _rho_expansions(l: int) -> Tuple[TwistWord, ...]:
+    """Positive expansions of rho_{i,i+1} for i = 1, 2, 3 on layout l: the
+    certified bands of the block swap braid, shifted onto clusters i, i+1,
+    lifted, and transported by the lifted cluster-i half twist."""
+    layout = SurfaceLayout(l)
     bands = rho_band_factorization(layout.subsurface_genus)
     n = layout.branch_points
     surface = layout.ambient_model()
@@ -131,7 +135,7 @@ def _expand_positive_kind(layout: SurfaceLayout, kind: tuple) -> TwistWord:
     if name == "rho":
         _, i, j = kind
         if j == i + 1:
-            return _rho_expansions(layout)[i - 1]
+            return _rho_expansions(layout.l)[i - 1]
         step = rho(layout, i, i + 1)
         inner = expand(SwapWord(layout, ((("rho", i + 1, j), 1),)))
         return inner.conjugate_letters(expand(step.inverse()))
@@ -195,3 +199,18 @@ def shadow(word: SwapWord) -> FramedBraid:
         s = _shadow_positive_kind(word.layout, kind)
         factors.append(s if sign > 0 else finverse(s))
     return fcompose(*factors)
+
+
+def has_subsurface_letters(word: SwapWord) -> bool:
+    """Whether a sub letter occurs anywhere in the word, inside the
+    conjugators of conj and rhoA letters too: the letters the shadow
+    cannot see."""
+    stack = [kind for kind, _ in word.letters]
+    while stack:
+        kind = stack.pop()
+        if kind[0] == "sub":
+            return True
+        if kind[0] == "conj":
+            stack.append(kind[2])
+            stack.extend(k for k, _ in kind[1].letters)
+    return False

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swapfact import braid
-from swapfact.braid import (BraidWord, DynnikovState, GarsideNormalForm,
-                            StrandMismatch, band, compose, dynnikov_act,
-                            dynnikov_base_state, dynnikov_equal, equal,
-                            full_twist, half_twist, normal_form)
+from swapfact.braid import (BraidWord, GarsideNormalForm, StrandMismatch,
+                            _act_padded, _padded_base, band, compose,
+                            dynnikov_equal, equal, full_twist, half_twist,
+                            normal_form)
 from swapfact.cli import main
 from swapfact.dsl import Document, print_document
 
@@ -274,31 +274,20 @@ class TestCanonicalForm:
 
 
 class TestDynnikov:
-    def test_state_shape(self):
-        with pytest.raises(ValueError):
-            DynnikovState(3, (0, 1, 2))
-        assert dynnikov_base_state(5).coords == (0, 1, 0, 2, 0, 3)
-
-    def test_action_needs_matching_strands(self):
-        with pytest.raises(StrandMismatch):
-            dynnikov_act(W(4, 1), dynnikov_base_state(5))
-
     def test_action_inverse(self):
-        st = dynnikov_base_state(5)
-        moved = dynnikov_act(W(5, 2, 3, -1), st)
-        back = dynnikov_act(W(5, 2, 3, -1).inverse(), moved)
-        assert back == st and back.pads == st.pads
+        base = _padded_base(5)
+        moved = _act_padded(W(5, 2, 3, -1), base)
+        assert _act_padded(W(5, 2, 3, -1).inverse(), moved) == base
 
     def test_braid_relations_on_orbit(self):
         rng = random.Random(23)
         for _ in range(50):
             n = rng.randint(3, 8)
             pre = random_word(rng, n, rng.randint(0, 10))
-            st = dynnikov_act(pre, dynnikov_base_state(n))
+            pairs = _act_padded(pre, _padded_base(n))
             i = rng.randint(1, n - 2) if n > 3 else 1
-            a = dynnikov_act(W(n, i, i + 1, i), st)
-            b = dynnikov_act(W(n, i + 1, i, i + 1), st)
-            assert a == b and a.pads == b.pads
+            assert (_act_padded(W(n, i, i + 1, i), pairs)
+                    == _act_padded(W(n, i + 1, i, i + 1), pairs))
 
     def test_oracle_detects_central_powers(self):
         for n in (3, 4, 5):
@@ -360,7 +349,6 @@ class TestAgainstLaminationEngine:
 
     def test_padded_action_matches_engine(self):
         from lamination_oracle import Lamination, laminar_family, round_curve
-        from swapfact.braid import _act_padded
 
         rng = random.Random(424)
         for _ in range(150):
@@ -382,7 +370,6 @@ class TestAgainstLaminationEngine:
 
     def test_base_state_coordinates_match_engine(self):
         from lamination_oracle import Lamination, round_curve
-        from swapfact.braid import _padded_base
 
         for n in range(3, 8):
             comps = []

@@ -320,6 +320,33 @@ class TestCLI:
         assert code == 1 and out == ""
         assert "swap words on different layouts" in err
 
+    @pytest.mark.parametrize("lhs,rhs,auto_code", [
+        # conjugating rho(1,2) by a twist of F1 moves it in homology; the
+        # shadow of the twist is the identity, so framed called them equal
+        ("rhoA(1,2; c1)", "rho(1,2)", 2),
+        # both expand to bd(F1,1) bd(F1,2), but framed refuted them
+        ("sub(delta1 delta2; F1)", "M(1)", 0),
+    ])
+    def test_framed_tier_declines_subsurface_letters(self, tmp_path, capsys,
+                                                     lhs, rhs, auto_code):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text(f"@swap l=0\n{lhs}\n")
+        b.write_text(f"@swap l=0\n{rhs}\n")
+        for first, second in ((a, b), (b, a)):
+            code, out, _ = run(["verify", str(first), str(second)], capsys)
+            assert code == auto_code and "tier: homology" in out
+            code, out, err = run(["verify", str(first), str(second),
+                                  "--tier", "framed"], capsys)
+            assert code == 3 and out == ""
+            assert "cannot see subsurface letters" in err
+
+    def test_framed_tier_declines_twist_words(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("@twist g=2 s=2\nc1\n")
+        code, out, err = run(["verify", str(a), str(a), "--tier", "framed"],
+                             capsys)
+        assert code == 3 and out == "" and "tier-insufficient" in err
+
     @pytest.mark.parametrize("argv", [["extend", "--l", "2", "--genus", "20"],
                                       ["commutator", "--l", "3"]])
     def test_generate_without_layout_rejects_l(self, tmp_path, capsys, argv):

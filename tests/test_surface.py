@@ -293,6 +293,28 @@ class TestClassResolution:
             per_letter.append(calls / len(added))
         assert per_letter == sorted(per_letter, reverse=True), per_letter
 
+    def test_boundary_lookups_per_letter_stay_low(self, monkeypatch):
+        # The boundary words' conjugators share long prefixes but rarely
+        # extend one another.  Applied from scratch, they cost 26, 37 and
+        # 36 class lookups per letter at (l, m) = (0, 0), (1, 1), (2, 20);
+        # walking the prefix state to each costs about 10.
+        calls = 0
+        curve_class = HomologyCalculator.curve_class
+
+        def counted(self, curve):
+            nonlocal calls
+            calls += 1
+            return curve_class(self, curve)
+
+        monkeypatch.setattr(HomologyCalculator, "curve_class", counted)
+        for l, m in ((0, 0), (1, 1), (2, 20)):
+            word = boundary_multitwist_factorization(m, l).word
+            calc = HomologyCalculator(word.surface)
+            calls = 0
+            for curve, _ in word.letters:
+                calc.curve_class(curve)
+            assert calls <= 18 * len(word), (l, m, calls)
+
     def test_failed_advance_leaves_a_usable_state(self, genus2):
         s, calc = genus2
         bad = TwistWord(s, [(chain_curve(1), 1), (chain_curve(9), 1)])
@@ -344,3 +366,41 @@ class TestNestedPrefixes:
         calc, resolve = HomologyCalculator(SurfaceModel(3, 2)), ClassResolver(3)
         assert [calc.curve_class(c) for c in shuffled] == \
             [resolve(c) for c in shuffled]
+
+
+@st.composite
+def sibling_curves(draw):
+    """Derived curves over a shared prefix P and diverging tails: P . x,
+    P . y, ... cut at random lengths.  Letters of P and of the tails may
+    be derived curves over earlier prefixes of P or of their own branch,
+    so walking the prefix state between siblings meets curves that walk
+    it too."""
+    s = SurfaceModel(3, 2)
+
+    def grow(letters, k):
+        for _ in range(k):
+            curve = draw(st.sampled_from(_NAMES))
+            if letters and draw(st.booleans()):
+                curve = DerivedCurve(curve, TwistWord(
+                    s, letters[:draw(st.integers(0, len(letters)))]))
+            letters.append((curve, draw(st.sampled_from((1, -1)))))
+        return letters
+
+    prefix = grow([], draw(st.integers(0, 10)))
+    curves = []
+    for _ in range(draw(st.integers(1, 4))):
+        branch = grow(list(prefix), draw(st.integers(1, 8)))
+        for cut in draw(st.lists(st.integers(0, len(branch)), min_size=1,
+                                 max_size=3)):
+            curves.append(DerivedCurve(draw(st.sampled_from(_NAMES)),
+                                       TwistWord(s, branch[:cut])))
+    return draw(st.permutations(curves))
+
+
+class TestSiblingConjugators:
+    @settings(max_examples=200, deadline=None)
+    @given(sibling_curves())
+    def test_siblings_in_any_order(self, curves):
+        calc, resolve = HomologyCalculator(SurfaceModel(3, 2)), ClassResolver(3)
+        assert [calc.curve_class(c) for c in curves] == \
+            [resolve(c) for c in curves]

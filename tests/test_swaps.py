@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import pytest
 
+from swapfact import swaps as swaps_mod
 from swapfact.framed import framed_equal, framed_identity
 from swapfact.surface import NamedCurve, TwistWord, twist
 from swapfact.swaps import (SurfaceLayout, SwapWord, embed, expand, rho,
@@ -24,6 +28,17 @@ class TestLayout:
         assert layout.branch_points == 24
         assert layout.ambient_genus == 11
         assert SurfaceLayout(1).ambient_genus == 15
+
+    def test_no_calculator_outlives_its_layout(self):
+        # the swap expansions are cached per layout parameter; a layout
+        # kept as the cache key kept its calculator and class memo too
+        swaps_mod._rho_expansions.cache_clear()
+        lay = SurfaceLayout(0)
+        expand(rho(lay, 1, 2))
+        ref = weakref.ref(lay.calculator)
+        del lay
+        gc.collect()
+        assert ref() is None
 
     def test_each_subsurface_meets_each_disk_once(self, layout):
         # one boundary circle of F_i on each side: the two subboundary
