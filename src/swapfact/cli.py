@@ -35,10 +35,11 @@ REPORT_SCHEMA = 1
 # The largest target genus of `generate extend`.  The extension adds
 # (2g+1)(2g+2) - 552 letters whose conjugators are prefixes of one word,
 # and the calculator resolves their classes incrementally, so reading the
-# artifact back sets the cap.  At genus 45 (7,924 letters, 14 MB) a 2-vCPU
-# host took 1.8 s to generate it, 8.4 s for `invariants` of it (parse and
-# Smith normal form) and 4.7 s to `verify` it against the boundary
-# multitwist; at genus 47 `invariants` took up to 10.0 s.
+# artifact back sets the cap.  At genus 45 (7,924 letters, 14 MB) a shared
+# 2-vCPU host took 1.9 s to generate it, 4.0 s for `invariants` of it
+# (mostly the parse: the Smith normal form takes the 175 distinct classes
+# up to sign, not one row per letter) and 5.1 s to `verify` it against the
+# boundary multitwist.
 MAX_GENUS = 45
 
 

@@ -52,9 +52,10 @@ def identity_matrix(r: int) -> Matrix:
 # The largest layout parameter l an input may name (a DSL header's l=, the
 # CLI's --l).  Reading the boundary artifact back sets it: that file grows
 # from 4.3 MB at l = 7 to 21 MB at l = 12, and parsing it is most of the
-# time of `verify` and `invariants` on it.  At l = 12 `verify` of it took
-# 8.7 s on a 2-vCPU host, the slowest generate, verify or invariants
-# command, and it takes about 1.3 times as long at l = 13.
+# time of `verify` and `invariants` on it.  At l = 12 `invariants` and
+# `verify` of it took 11.7 s and 11.6 s on a shared 2-vCPU host, the
+# slowest generate, verify or invariants commands, and they take about 1.3
+# times as long at l = 13.
 MAX_LAYOUT = 12
 
 
