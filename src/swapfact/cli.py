@@ -23,7 +23,8 @@ from .constructions import (PositiveFactorization,
                             boundary_multitwist_factorization,
                             commutator_relation, extend_to_genus, phi,
                             phi_factorization)
-from .dsl import MAX_POWER, Document, ParseError, parse, print_document
+from .dsl import (MAX_HEADER, MAX_POWER, Document, ParseError, parse,
+                  print_document)
 from .framed import framed_equal
 from .invariants import fibration_invariants
 from .lift import lift as branched_lift
@@ -32,15 +33,14 @@ from .swaps import expand, has_subsurface_letters, shadow
 
 REPORT_SCHEMA = 1
 
-# The largest target genus of `generate extend`.  The extension adds
-# (2g+1)(2g+2) - 552 letters whose conjugators are prefixes of one word,
-# and the calculator resolves their classes incrementally, so reading the
-# artifact back sets the cap.  At genus 45 (7,924 letters, 14 MB) a shared
-# 2-vCPU host took 1.9 s to generate it, 4.0 s for `invariants` of it
-# (mostly the parse: the Smith normal form takes the 175 distinct classes
-# up to sign, not one row per letter) and 5.1 s to `verify` it against the
-# boundary multitwist.
-MAX_GENUS = 45
+# The largest target genus of `generate extend`: dsl.MAX_HEADER, the
+# largest genus a @twist header may name.  The extension adds
+# (2g+1)(2g+2) - 552 letters whose conjugators are prefixes of one word;
+# the artifact defines each distinct conjugator once.  At genus 100
+# (40,154 letters, 0.6 MB) a shared 2-vCPU host took 2.9 s to generate
+# it, 1.8 s for `invariants` of it and 3.8 s to `verify` it against the
+# boundary multitwist (medians of three fresh CLI processes).
+MAX_GENUS = MAX_HEADER
 
 
 def _read(path: str, conjugators: dict | None = None) -> Document:

@@ -81,7 +81,17 @@ def _psi_search(surface: SurfaceModel, seed: int) -> TwistWord:
     gens = [(tag, sign) for tag in _PSI_GEN_TAGS for sign in (1, -1)]
     k = seed % len(gens)
     gens = gens[k:] + gens[:k]
-    letters = {g: twist(surface, NamedCurve(g[0]), g[1]) for g in gens}
+    # each generator's transvection x -> x + <x, sign c> c, as its class c
+    # and the signed covector of c
+    moves = {}
+    for tag, sign in gens:
+        c = calc.curve_class(NamedCurve(tag))
+        moves[tag, sign] = c, tuple(sign * f for f in surface.covector(c))
+
+    def move(g, st):
+        """The pair of classes st moved by generator g."""
+        c, phi = moves[g]
+        return tuple(_transvect(x, c, phi) for x in st)
 
     c1 = calc.curve_class(NamedCurve(("chain", 1)))
     d1 = calc.curve_class(NamedCurve(("dcurve", 1)))
@@ -119,8 +129,7 @@ def _psi_search(surface: SurfaceModel, seed: int) -> TwistWord:
         new = []
         for st in ffr:
             for g in gens:
-                t = letters[g]
-                nx = (calc.apply_word(t, st[0]), calc.apply_word(t, st[1]))
+                nx = move(g, st)
                 if nx not in fwd:
                     fwd[nx] = (st, g)
                     new.append(nx)
@@ -131,8 +140,7 @@ def _psi_search(surface: SurfaceModel, seed: int) -> TwistWord:
         new = []
         for st in bfr:
             for tag, sign in gens:
-                t = letters[(tag, -sign)]
-                nx = (calc.apply_word(t, st[0]), calc.apply_word(t, st[1]))
+                nx = move((tag, -sign), st)
                 if nx not in bwd:
                     bwd[nx] = (st, (tag, sign))
                     new.append(nx)
@@ -142,6 +150,13 @@ def _psi_search(surface: SurfaceModel, seed: int) -> TwistWord:
             return finish(meet)
     raise SearchExhausted(
         f"no psi certificate within {2 * PSI_MAX_DEPTH} letters")
+
+
+def _transvect(x: tuple, c: tuple, phi: tuple) -> tuple:
+    """x + <x, phi> c: the transvection about c whose signed covector is
+    phi."""
+    k = sum(a * b for a, b in zip(x, phi))
+    return tuple(a + k * b for a, b in zip(x, c)) if k else x
 
 
 def commutator_relation(m: int, surface: SurfaceModel | None = None,

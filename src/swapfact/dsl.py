@@ -21,6 +21,23 @@ and `^-k` suffixes with |k| <= MAX_POWER, and parentheses nest at most
 MAX_NESTING deep.  Printing is canonical (single spaces, no comments) and
 parse(print(d)) == d.  Composition is right to left: the rightmost token
 acts first, annotated in printed headers to prevent convention drift.
+
+A @twist body may name a conjugator and use the name in its place:
+
+    @twist g=11 s=2
+    V1 = c1 c2 ;
+    V2 = c4 img(V1; c3) ;
+    img(V2; c5) c3 img(V1; c3)
+
+is img(c4 img(c1 c2; c3); c5) c3 img(c1 c2; c3).  A definition is a name
+V<k>, then =, the word's tokens and ;, each a token of its own, so line
+ends do not matter.  It stands at the top level of the body, before the
+first letter that uses it, and each name is defined once; names are local
+to their document.  A named conjugator nests as deep as its definition
+written out in place.  The printer writes each distinct conjugator of a
+@twist word once, after those of its own conjugators, as V1, V2, ... in
+that order, and the letters use the names; @swap bodies write their
+conjugators out in place.  The parser reads both forms.
 """
 
 from __future__ import annotations
@@ -69,7 +86,9 @@ MAX_HEADER = 100
 # recursive call that reads its own copy of the body's text.  A body is
 # reached only after the tokens before it parsed, and those balance, so each
 # level of recursion sits one parenthesis deeper in the outermost group: the
-# cap bounds the parser's stack depth and its memory.
+# cap bounds the parser's stack depth and its memory.  A letter whose
+# conjugator is named is counted as the definition written out in place;
+# the class of a derived curve is resolved by a recursion that deep.
 MAX_NESTING = 100
 
 # The caps on header values; the keys each kind takes are in _KINDS.
@@ -248,11 +267,20 @@ _SPELLING_OF_TAG = {tag: sp for sp, tag in _CURVE_SPELLINGS.items()}
 _NUMBERS = re.compile(r"(\d+)")
 
 
-def _curve_of_token(base: str, ln: int, col: int):
+def _curve_of_token(base: str, ln: int, col: int) -> NamedCurve:
+    curve = _named_curve(base)
+    if curve is None:
+        raise ParseError(f"unknown curve token {base!r}", ln, col)
+    return curve
+
+
+@functools.lru_cache(maxsize=1024)   # words repeat a few hundred tokens
+def _named_curve(base: str) -> NamedCurve | None:
+    """The curve the token spells, None when it spells none."""
     parts = _NUMBERS.split(base)
     template = _TAG_OF_SHAPE.get("#".join(parts[0::2]))
     if template is None:
-        raise ParseError(f"unknown curve token {base!r}", ln, col)
+        return None
     numbers = map(int, parts[1::2])
     return NamedCurve(tuple(next(numbers) if x is None else x
                             for x in template))
@@ -291,34 +319,82 @@ def _deepest(t: str) -> int:
 
 
 def _body(text: str, ln: int, col: int):
-    """The tokens of a group's body, each at the group's position."""
-    return ((m.group(0), ln, col) for m in _TOKEN.finditer(text))
+    """The grouped tokens of a twist word written in a group's body, each
+    at the group's position."""
+    return _groups(((m.group(0), ln, col) for m in _TOKEN.finditer(text)),
+                   ("img(",))
 
 
-def _parse_twist_tokens(surface: SurfaceModel, toks, words=None
-                        ) -> TwistWord:
-    """words maps each img(...) conjugator's text read so far to its word:
-    equal conjugators become one object, which the class memo finds fast."""
-    words = {} if words is None else words
-    letters = []
-    for tok, ln, col in _groups(toks, ("img(",)):
+# A conjugator's name, and an img(<conjugator>; <curve>) letter.
+_NAME = re.compile(r"V\d+")
+_IMG = re.compile(r"img\((.*);(.*)\)(?:\^(-?\d+))?")
+
+
+def _parse_twist_tokens(surface: SurfaceModel, groups, words: dict,
+                        names: dict, top: bool = False
+                        ) -> Tuple[TwistWord, int]:
+    """The word the grouped tokens spell and how deep its img(...) letters
+    nest, counted as MAX_NESTING counts parentheses: a named conjugator
+    counts as its definition written out in place.  The class resolution
+    recurses that deep.
+
+    words interns the conjugators read so far by value: equal conjugators
+    become one object, which the class memo finds fast.  names maps each
+    name defined so far, and each conjugator written out in an img(...)
+    letter so far, to its word and depth.  Only the top level (top) may
+    define a name."""
+    letters, depth = [], 0
+    for tok, ln, col in groups:
         if tok.startswith("img("):
-            # img(<word>; <curve>)
-            m = re.fullmatch(r"img\((.*);(.*)\)(?:\^(-?\d+))?", tok)
+            m = _IMG.fullmatch(tok)
             if not m:
                 raise ParseError("malformed img(...) token", ln, col)
-            inner = words.get(m.group(1))
-            if inner is None:
-                inner = words[m.group(1)] = _parse_twist_tokens(
-                    surface, _body(m.group(1), ln, col), words)
-            curve = DerivedCurve(_curve_of_token(m.group(2).strip(), ln, col),
-                                 inner)
+            body = m.group(1).strip()
+            known = names.get(body)
+            if known is None:
+                if _NAME.fullmatch(body):
+                    raise ParseError(f"{body} is not defined before its use",
+                                     ln, col)
+                inner, d = _parse_twist_tokens(
+                    surface, _body(body, ln, col), words, names)
+                known = names[body] = words.setdefault(inner, inner), d
+            inner, d = known
+            base = m.group(2).strip()
+            d = 1 + max(d, "(" in base)
+            if d > MAX_NESTING:
+                raise ParseError(f"img(...) letters nest deeper than the cap "
+                                 f"{MAX_NESTING}, through definitions", ln, col)
+            curve = DerivedCurve(_curve_of_token(base, ln, col), inner)
             k = _exponent(m.group(3), ln, col)
+        elif _NAME.fullmatch(tok):
+            if not top:
+                raise ParseError(f"{tok} stands alone: a name is defined at "
+                                 f"the top level and used as img({tok}; "
+                                 f"<curve>)", ln, col)
+            if next(groups, ("",))[0] != "=":
+                raise ParseError(f"{tok} is not followed by =", ln, col)
+            if tok in names:
+                raise ParseError(f"{tok} is defined twice", ln, col)
+            v, d = _parse_twist_tokens(
+                surface, _definition(groups, tok, ln, col), words, names)
+            names[tok] = words.setdefault(v, v), d
+            continue
         else:
             base, k = _split_power(tok, ln, col)
             curve = _curve_of_token(base, ln, col)
+            d = "(" in base
+        depth = max(depth, d)
         letters.extend(_repeat(curve, k))
-    return TwistWord(surface, letters)
+    return TwistWord(surface, letters), depth
+
+
+def _definition(groups, name: str, ln: int, col: int):
+    """The grouped tokens of name's definition, up to the ; that ends it."""
+    for group in groups:
+        if group[0] == ";":
+            return
+        yield group
+    raise ParseError(f"the definition of {name} does not end with ;", ln, col)
 
 
 def _parse_twist(params, toks, conjugators=None) -> TwistWord:
@@ -327,16 +403,10 @@ def _parse_twist(params, toks, conjugators=None) -> TwistWord:
         raise ParseError("twist header needs g=<genus>", 1, 1)
     layout = None if l is None else SurfaceLayout(l)
     surface = SurfaceModel(g, params.get("s", 2), layout)
-    words = None if conjugators is None else conjugators.setdefault(surface,
-                                                                    {})
-    return _parse_twist_tokens(surface, toks, words)
-
-
-def _print_curve(curve) -> str:
-    if isinstance(curve, DerivedCurve):
-        inner = " ".join(_print_twist_tokens(curve.conjugator))
-        return f"img({inner}; {_print_curve(curve.base)})"
-    return _spell(curve.tag)
+    words = {} if conjugators is None else conjugators.setdefault(surface,
+                                                                  {})
+    return _parse_twist_tokens(surface, _groups(toks, ("img(",)), words, {},
+                               top=True)[0]
 
 
 @functools.lru_cache(maxsize=1024)   # words repeat a few hundred tags
@@ -350,16 +420,39 @@ def _spell(tag: tuple) -> str:
     raise ValueError(f"curve {tag} has no DSL token")
 
 
-def _print_twist_tokens(w: TwistWord) -> List[str]:
-    return [_print_curve(c) + ("^-1" if s < 0 else "") for c, s in w.letters]
+def _print_twist_tokens(w: TwistWord, conjugator) -> List[str]:
+    """The word's tokens; conjugator(v) spells the conjugator v of each
+    img(...) letter."""
+    return [(f"img({conjugator(c.conjugator)}; {_spell(c.base.tag)})"
+             if isinstance(c, DerivedCurve) else _spell(c.tag))
+            + ("^-1" if s < 0 else "") for c, s in w.letters]
+
+
+def _inline(v: TwistWord) -> str:
+    """The word's tokens, each conjugator written out in place."""
+    return " ".join(_print_twist_tokens(v, _inline))
 
 
 def _print_twist(w: TwistWord) -> str:
+    """The header, then one definition per distinct conjugator, after the
+    definitions of its own conjugators, then the word."""
     surface = w.surface
     head = f"@twist g={surface.genus} s={surface.boundary}"
     if surface.layout is not None:
         head += f" l={surface.layout.l}"
-    return head + "\n" + _wrap(_print_twist_tokens(w))
+    names: dict = {}
+    definitions: List[str] = []
+
+    def name(v: TwistWord) -> str:
+        k = names.get(v)
+        if k is None:
+            tokens = _print_twist_tokens(v, name)
+            k = names[v] = f"V{len(names) + 1}"
+            definitions.append(_wrap([k, "=", *tokens, ";"]))
+        return k
+
+    body = _wrap(_print_twist_tokens(w, name))
+    return "\n".join([head, *definitions, body])
 
 
 # --- swap -------------------------------------------------------------------
@@ -373,7 +466,8 @@ def _parse_swap(params, toks) -> SwapWord:
         if tok.startswith(("rhoA(", "sub(")):
             m = re.fullmatch(r"rhoA\((\d+),(\d+);(.*)\)(?:\^(-?\d+))?", tok)
             if m:
-                a = _parse_twist_tokens(sub, _body(m.group(3), ln, col))
+                a = _parse_twist_tokens(sub, _body(m.group(3), ln, col),
+                                        {}, {})[0]
                 v = SwapWord(layout, ((("sub", int(m.group(1)), a), 1),))
                 kind = ("conj", v, ("rho", int(m.group(1)), int(m.group(2))))
                 k = _exponent(m.group(4), ln, col)
@@ -381,7 +475,8 @@ def _parse_swap(params, toks) -> SwapWord:
                 m = re.fullmatch(r"sub\((.*);\s*F(\d+)\)(?:\^(-?\d+))?", tok)
                 if not m:
                     raise ParseError("malformed swap token", ln, col)
-                a = _parse_twist_tokens(sub, _body(m.group(1), ln, col))
+                a = _parse_twist_tokens(sub, _body(m.group(1), ln, col),
+                                        {}, {})[0]
                 kind = ("sub", int(m.group(2)), a)
                 k = _exponent(m.group(3), ln, col)
         else:
@@ -411,14 +506,13 @@ def _print_swap_letter(kind, sign) -> str:
     if name == "Mb":
         return "Mb" + suffix
     if name == "sub":
-        inner = " ".join(_print_twist_tokens(kind[2]))
-        return f"sub({inner}; F{kind[1]})" + suffix
+        return f"sub({_inline(kind[2])}; F{kind[1]})" + suffix
     if name == "conj":
         v, inner = kind[1], kind[2]
         if (len(v.letters) == 1 and v.letters[0][0][0] == "sub"
                 and v.letters[0][1] == 1 and inner[0] == "rho"
                 and v.letters[0][0][1] == inner[1]):
-            a = " ".join(_print_twist_tokens(v.letters[0][0][2]))
+            a = _inline(v.letters[0][0][2])
             return f"rhoA({inner[1]},{inner[2]};{a})" + suffix
         raise ValueError("general conjugated letters have no DSL token")
     raise ValueError(f"unknown swap letter {kind!r}")

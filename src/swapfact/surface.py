@@ -50,13 +50,13 @@ def identity_matrix(r: int) -> Matrix:
 
 
 # The largest layout parameter l an input may name (a DSL header's l=, the
-# CLI's --l).  Reading the boundary artifact back sets it: that file grows
-# from 4.3 MB at l = 7 to 21 MB at l = 12, and parsing it is most of the
-# time of `verify` and `invariants` on it.  At l = 12 `invariants` and
-# `verify` of it took 11.7 s and 11.6 s on a shared 2-vCPU host, the
-# slowest generate, verify or invariants commands, and they take about 1.3
-# times as long at l = 13.
-MAX_LAYOUT = 12
+# CLI's --l).  The boundary family sets it.  At l = 21 (608 letters, a
+# 2.9 MB artifact) `generate boundary`, `invariants` and `verify` of the
+# artifact against itself took 7.4 s, 6.3 s and 8.1 s on a shared 2-vCPU
+# host, and `generate phi` 6.5 s (medians of three fresh CLI processes);
+# `verify` parses the artifact twice and resolves its classes once.  At
+# l = 22 `verify` took 9.7 s, one run 10.4 s.
+MAX_LAYOUT = 21
 
 
 @dataclass(frozen=True)
@@ -300,17 +300,6 @@ class HomologyCalculator:
                     k = sign * f
                     columns[j] = tuple([a + k * b
                                         for a, b in zip(columns[j], ac)])
-
-    def _transvect(self, v: Vector, sign: int, x: Vector) -> Vector:
-        coef = sign * self.surface.pairing(x, v)
-        return tuple(a + coef * b for a, b in zip(x, v))
-
-    def apply_word(self, w: TwistWord, x: Sequence[int]) -> Vector:
-        """Apply the word's action to one class (rightmost letter first)."""
-        x = tuple(x)
-        for curve, sign in reversed(w.letters):
-            x = self._transvect(self.curve_class(curve), sign, x)
-        return x
 
     def homology_action(self, w: TwistWord) -> Matrix:
         """The action as a tuple of rows, built from the identity by the

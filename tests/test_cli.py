@@ -16,6 +16,7 @@ from swapfact.braid import BraidWord
 from swapfact.cli import MAX_GENUS, main
 from swapfact.constructions import (boundary_multitwist_factorization,
                                     extend_to_genus)
+from swapfact import dsl
 from swapfact.dsl import (MAX_HEADER, MAX_NESTING, MAX_POWER, Document,
                           ParseError, _tokenize, parse, print_document)
 from swapfact.framed import FramedBraid
@@ -26,6 +27,28 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def inline_text(word) -> str:
+    """The word's @twist document in the inline format, which writes each
+    conjugator out in full at every letter that uses it."""
+    s = word.surface
+    head = f"@twist g={s.genus} s={s.boundary}" + (
+        f" l={s.layout.l}" if s.layout else "")
+    tokens = dsl._print_twist_tokens(word, dsl._inline)
+    return head + "\n" + dsl._wrap(tokens) + "\n"
+
+
+def traced_parse(text):
+    """(peak, kept): the traced peak while parsing text, and what the
+    parsed document keeps."""
+    tracemalloc.start()
+    try:
+        doc = parse(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, kept
 
 
 def twist_letters(curves, depth):
@@ -76,29 +99,28 @@ class TestDSL:
 
     def test_parse_memory_is_linear_in_the_text(self):
         base = boundary_multitwist_factorization(0, seed=0)
-        text = print_document(
-            Document("twist", extend_to_genus(14, base).word))
-        tracemalloc.start()
-        try:
-            parse(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        text = inline_text(extend_to_genus(14, base).word)
+        peak, _ = traced_parse(text)
         # tokens are read as they come: no list holds the whole document
         assert peak < 10 * len(text)
 
     def test_parse_holds_no_copy_of_the_lines(self):
-        text = print_document(Document(
-            "twist", boundary_multitwist_factorization(0, 7, seed=0).word))
-        tracemalloc.start()
-        try:
-            parse(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        text = inline_text(boundary_multitwist_factorization(0, 7, seed=0).word)
+        peak, _ = traced_parse(text)
         # the parsed word keeps about 2.4 bytes per byte of text; holding
         # text.splitlines() for the whole parse made the peak 4.1 per byte
         assert peak < 3.5 * len(text)
+
+    @pytest.mark.parametrize("build", [
+        lambda: extend_to_genus(14, boundary_multitwist_factorization(0)),
+        lambda: boundary_multitwist_factorization(0, 7)], ids=["g14", "l7"])
+    def test_parse_peak_over_the_word_is_at_most_the_text(self, build):
+        # the definition form is 11 to 17 times smaller than the inline
+        # one, so the peak per byte of text is about 39; what the parse
+        # holds beyond the word it keeps stays under the text's length
+        text = print_document(Document("twist", build().word))
+        peak, kept = traced_parse(text)
+        assert peak - kept < len(text)
 
     # every line boundary str.splitlines recognises
     _LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
@@ -178,11 +200,14 @@ class TestDSL:
         assert d.value.to_ints() == (-1,) * MAX_POWER
 
     def test_twist_layout_round_trip(self):
-        text = ("@twist g=16 s=2 l=1\nc(2,4) d(1,2) bd(F3) bd(F2,2) c33 "
-                "delta2 d2 img(c(1,1); bd(F4))\n")
-        d = parse(text)
+        inline = ("@twist g=16 s=2 l=1\nc(2,4) d(1,2) bd(F3) bd(F2,2) c33 "
+                  "delta2 d2 img(c(1,1); bd(F4))\n")
+        text = ("@twist g=16 s=2 l=1\nV1 = c(1,1) ;\nc(2,4) d(1,2) bd(F3) "
+                "bd(F2,2) c33 delta2 d2 img(V1; bd(F4))\n")
+        d = parse(inline)
         assert d.value.surface.layout == SurfaceLayout(1)
         assert print_document(d) == text
+        assert parse(text) == d
         plain = parse("@twist g=16 s=2\nc(2,4)").value
         assert plain.surface.layout is None and plain != d.value
         assert print_document(Document("twist", plain)).startswith(
@@ -487,8 +512,12 @@ class TestCLI:
          "@swap l=0\nMb"),
         ("@swap l=0\nsub(" + _DEEP_TOKEN + "; F2)", "@swap l=0\nMb"),
         ("@swap l=0\nrhoA(1,3;" + _DEEP_TOKEN + ")", "@swap l=0\nMb"),
+        # each definition nests one level deeper than the one before
+        ("@twist g=2 s=2\nV1 = c1 ;\n" + "".join(
+            f"V{k} = img(V{k - 1}; c1) ;\n" for k in range(2, 10_001))
+         + "img(V10000; c2)", "@twist g=2 s=2\nc1"),
     ], ids=["img", "img-one-token", "img-mixed", "sub", "sub-body",
-            "rhoA-body"])
+            "rhoA-body", "chained-definitions"])
     def test_deep_nesting_exit_1_without_recursing(self, tmp_path, capsys,
                                                    text, other):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -510,9 +539,71 @@ class TestCLI:
             return "@twist g=2 s=2\n" + "img(" * depth + "c1" \
                 + (sep + "c2)") * depth
         d = parse(nested(MAX_NESTING))
-        assert parse(print_document(d)) == d
+        printed = print_document(d)
+        # one definition per level: V1 = c1, then Vk = img(V(k-1); c2)
+        lines = printed.splitlines()
+        assert len(lines) == MAX_NESTING + 2
+        assert lines[MAX_NESTING] == \
+            f"V{MAX_NESTING} = img(V{MAX_NESTING - 1}; c2) ;"
+        assert parse(printed) == d
         with pytest.raises(ParseError):
             parse(nested(MAX_NESTING + 1))
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING,
+                                       MAX_NESTING + 1])
+    @pytest.mark.parametrize("inner,outer", [("c1", "c2"), ("c(1,1)", "c2"),
+                                             ("c1", "c(1,2)")])
+    def test_definitions_nest_as_their_inline_text(self, depth, inner,
+                                                   outer):
+        # one word, inline and as chained definitions: each parses exactly
+        # when the other does, to the same value
+        head = "@twist g=11 s=2 l=0\n"
+        inline = head + "img(" * depth + inner + f"; {outer})" * depth
+        defined = head + f"V1 = {inner} ;\n" + "".join(
+            f"V{k} = img(V{k - 1}; {outer}) ;\n"
+            for k in range(2, depth + 1)) + f"img(V{depth}; {outer})\n"
+
+        def outcome(text):
+            try:
+                return parse(text).value
+            except ParseError as exc:
+                assert "nest deeper than the cap" in str(exc)
+                return "over the cap"
+
+        paren_depth = depth + ("(" in inner + outer)
+        assert outcome(inline) == outcome(defined)
+        assert (outcome(defined) == "over the cap") == (
+            paren_depth > MAX_NESTING)
+
+    @pytest.mark.parametrize("text,message", [
+        ("@twist g=2 s=2\nimg(V1; c2)", "V1 is not defined"),
+        ("@twist g=2 s=2\nimg(V1; c2) V1 = c1 ;", "V1 is not defined"),
+        ("@twist g=2 s=2\nV1 = c1 img(V1; c2) ;", "V1 is not defined"),
+        ("@twist g=2 s=2\nV1 = c1 ; V1 = c2 ; img(V1; c3)",
+         "V1 is defined twice"),
+        ("@twist g=2 s=2\nV1 = c1 ;\nimg(V1 = c2 ; ; c3)", "stands alone"),
+        ("@twist g=2 s=2\nV1 = V2 = c1 ; ;", "stands alone"),
+        ("@twist g=2 s=2\nV1 = c1 ;\nimg(V1 c2; c3)", "stands alone"),
+        ("@twist g=2 s=2\nV1 = c1 ;\nV1", "not followed by ="),
+        ("@twist g=2 s=2\nV1 c1 ;", "not followed by ="),
+        ("@twist g=2 s=2\nV1 = c1", "does not end with ;"),
+        ("@twist g=2 s=2\nc1 ;", "unknown curve token"),
+        ("@swap l=0\nsub(img(V1; c2); F2)", "V1 is not defined"),
+        ("@swap l=0\nsub(V1 = c1 ; ; F2)", "stands alone"),
+    ])
+    def test_definition_errors_exit_1(self, tmp_path, capsys, text, message):
+        f = tmp_path / "w.txt"
+        f.write_text(text + "\n")
+        code, _, err = run(["verify", str(f), str(f)], capsys)
+        assert code == 1 and message in err
+        assert "Traceback" not in err
+
+    def test_names_are_local_to_a_file(self, tmp_path, capsys):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("@twist g=2 s=2\nV1 = c1 ;\nimg(V1; c2)\n")
+        b.write_text("@twist g=2 s=2\nimg(V1; c2)\n")
+        code, _, err = run(["verify", str(a), str(b)], capsys)
+        assert code == 1 and "V1 is not defined" in err
 
     def test_equal_conjugators_are_one_object(self):
         w = parse("@twist g=3 s=2\nimg(c1 c2; c3) c4 img(c1 c2; c5)").value
@@ -543,6 +634,21 @@ class TestCLI:
         code, _, _ = run(["verify", str(path), str(path)], capsys)
         (w1, w2), = seen
         assert code == 0
+        assert w1.letters[0][0].conjugator is w2.letters[0][0].conjugator
+
+    def test_verify_shares_a_conjugator_under_two_names(self, tmp_path,
+                                                        capsys, monkeypatch):
+        seen = []
+        check = HomologyCalculator.verify_homologically
+        monkeypatch.setattr(HomologyCalculator, "verify_homologically",
+                            lambda calc, w1, w2: seen.append((w1, w2))
+                            or check(calc, w1, w2))
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("@twist g=3 s=2\nV1 = c1 c2 ;\nimg(V1; c3) c4\n")
+        b.write_text("@twist g=3 s=2\nV1 = c4 ;\nV2 = c1 c2 ;\n"
+                     "img(V2; c3) img(V1; c4)\n")
+        run(["verify", str(a), str(b)], capsys)
+        (w1, w2), = seen
         assert w1.letters[0][0].conjugator is w2.letters[0][0].conjugator
 
     def test_verify_homology_consistent_exit_0(self, tmp_path, capsys):
@@ -581,32 +687,40 @@ class TestCLI:
         text = out_file.read_text()
         assert print_document(parse(text)) == text
 
-    # sha256 of the artifact `generate` writes, of its stdout, and of the
-    # stdout of `invariants` on that artifact.  The commutator word is not
-    # positive, so `invariants` refuses it: exit 1, nothing on stdout.
+    # sha256 of the artifact `generate` writes in the inline format (the
+    # artifact before named conjugator definitions), of the artifact, of
+    # the command's stdout, and of the stdout of `invariants` on the
+    # artifact, which it must also print for the inline text.  The
+    # commutator word is not positive, so `invariants` refuses it: exit 1,
+    # nothing on stdout.
     @pytest.mark.parametrize("argv, digests, invariants_code", [
         (["boundary", "--m", "0"],
          ("f357d0d41cc3603faa69007bd8703c77acc05c8c197ed38c5a88f04ddfd316f4",
+          "7564dfa98ad94ed12b692ce5e30c16c41ae716ab5b4cac2a023c77221df85fec",
           "dc25c0673fdc1e9764d95fc96999f9689eaa9830eb6ffac2e7d40866fa53e083",
           "8969a83f3bf19a8a1b0a17dd1f2e3f1d6e6ca6c8ee2de9ef3eea9a99af6a2daf"),
          0),
         (["boundary", "--l", "1", "--m", "3"],
          ("1554782b21a02b501728baf6b7fdb4c029621afce2bf9566db977d18650971d2",
+          "836d6688fe00c689b035279ad11a1f27c7d2bcfce787b49800a3e1a5304eab08",
           "c510e13ce0e0a8969aa1f7da1a3c0c17b48ecd82cc985bfb8496a7d59487487b",
           "67dfd3ce35ba8a40adf6d62ccb4e290b95541e2dfd26493947aa0b89bc72d9fc"),
          0),
         (["phi", "--m", "1"],
          ("9f035d0ea158257f6e734927d66be181bb4b49007c46b2bedfe300c6578aa043",
+          "3757deb993fe6ce633fc76bd701aa1c64d3200b9d80fae63e4c01198b2ceb3d7",
           "90ad5abcb9aa57c270980b3001a3a7305a954abc3e88fcb1a841c608ba56e132",
           "60fd53711a49ecc94d596c9fc94fe81cda416119f62c3e0031f6cf02c466f3f7"),
          0),
         (["extend", "--genus", "12"],
          ("3a088cf514c4acf931dec038223fe18c95480d25f3a4d7d8dff4340c26fb157d",
+          "19bcf4fc367b05e1ccd7c1dce4a57d2d90c17a70df09b2c0287cb82c8541dba0",
           "f7dfa9250a0f4a6e26de13b243d116de8fd424af623fc9e4cbfbcb899934f0d5",
           "0fcdba23d05ccb2df37fe625c2321c230d345a9b0fb5320fc423894c729ea5bb"),
          0),
         (["commutator", "--m", "2"],
          ("0221b143855a1f14c4fe96309b68e5f0fc6965cf76bb003cf1bce39f74da38a4",
+          "0221b143855a1f14c4fe96309b68e5f0fc6965cf76bb003cf1bce39f74da38a4",
           "adc9600ca5cd1300566750214358840647746f295caed11991423c5de9c4b0fa",
           hashlib.sha256(b"").hexdigest()),
          1),
@@ -614,14 +728,21 @@ class TestCLI:
             "commutator-m2"])
     def test_generated_bytes_are_pinned(self, tmp_path, capsys, argv,
                                         digests, invariants_code):
-        f = tmp_path / "w.txt"
+        f, inline = tmp_path / "w.txt", tmp_path / "inline.txt"
         code, generated, _ = run(["generate", *argv, "-o", str(f)], capsys)
         assert code == 0
         code, invariants, _ = run(["invariants", str(f)], capsys)
         assert code == invariants_code
+        word = parse(f.read_text()).value
+        inline.write_text(inline_text(word))
+        assert parse(inline.read_text()).value == word
+        assert run(["invariants", str(inline)], capsys)[:2] == (
+            invariants_code, invariants)
         sha = lambda b: hashlib.sha256(b).hexdigest()
-        assert (sha(f.read_bytes()), sha(generated.encode()),
-                sha(invariants.encode())) == digests
+        assert (sha(inline.read_bytes()), sha(f.read_bytes()),
+                sha(generated.encode()), sha(invariants.encode())) == digests
+        # each token is short, so every line wraps within 78 characters
+        assert max(map(len, f.read_text().splitlines())) <= 78
 
     def test_seed_reaches_the_builder_and_leaves_no_state(self, tmp_path,
                                                           capsys):
@@ -697,7 +818,7 @@ _KINDS = {
                 "l=1", "l=-1", f"l={MAX_LAYOUT + 1}", f"g={MAX_HEADER + 1}"],
                ["c1", "c3^2", "c0", "d1", "d2^-1", "delta1", "delta2",
                 "c(2,4)", "d(1,1)", "bd(F3)", "bd(F2,2)", "img(c1 c2; c3)",
-                "img(c(1,1); bd(F2))"]),
+                "img(c(1,1); bd(F2))", "V1", "=", ";", "img(V1; c2)"]),
     "@swap": ("l=0", ["l=1", "l=-1", f"l={MAX_LAYOUT + 1}"],
               ["rho(1,2)", "rho(2,4)^-1", "delta(1,3)", "rhoA(1,3; c1 c2^-1)",
                "sub(c1 d1^-1; F2)", "M(1)", "Mb", "rho(3,1)", "M(5)"]),

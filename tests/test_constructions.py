@@ -8,11 +8,12 @@ from swapfact.constructions import (PositiveFactorization,
                                     extended_calculator, insert_equals_append,
                                     make_psi, phi, phi_factorization, word_T)
 from swapfact.framed import boundary_multitwist_framed, framed_equal
-from swapfact.surface import (HomologyCalculator, NamedCurve, SurfaceModel,
-                              twist)
+from swapfact.surface import (DerivedCurve, HomologyCalculator, NamedCurve,
+                              SurfaceModel, twist)
 from swapfact.swaps import SurfaceLayout, expand, rho, shadow
 from swapfact.words import compose
 
+from homology_oracle import ClassResolver
 from swap_calculus import boundary_verdicts
 
 
@@ -42,8 +43,9 @@ class TestCommutatorRelation:
         neg = lambda v: tuple(-x for x in v)
         d2 = calc.curve_class(NamedCurve(("dcurve", 2)))
         c3 = calc.curve_class(NamedCurve(("chain", 3)))
-        img_c1 = calc.apply_word(psi, calc.curve_class(NamedCurve(("chain", 1))))
-        img_d1 = calc.apply_word(psi, calc.curve_class(NamedCurve(("dcurve", 1))))
+        oracle = ClassResolver(2)
+        img_c1 = oracle(DerivedCurve(NamedCurve(("chain", 1)), psi))
+        img_d1 = oracle(DerivedCurve(NamedCurve(("dcurve", 1)), psi))
         assert img_c1 in (d2, neg(d2))
         assert img_d1 in (c3, neg(c3))
 
@@ -51,7 +53,7 @@ class TestCommutatorRelation:
         s, calc = genus2
         psi = make_psi(s)
         e = s.boundary_class()
-        assert calc.apply_word(psi, e) == e
+        assert ClassResolver(2).apply(psi.letters, e) == e
 
     def test_identity_fails_certificate(self, genus2):
         s, calc = genus2

@@ -123,7 +123,7 @@ class TestActions:
         c1 = calc.curve_class(chain_curve(1))
         c2 = calc.curve_class(chain_curve(2))
         w = twist(s, chain_curve(1)).power(2)
-        image = calc.apply_word(w, c2)
+        image = tuple(row[1] for row in calc.homology_action(w))
         coef = 2 * s.pairing(c2, c1)
         assert image == tuple(a + coef * b for a, b in zip(c2, c1))
 
@@ -221,7 +221,7 @@ class TestCurves:
         d = DerivedCurve(chain_curve(2), conj)
         first = calc.curve_class(d)
         assert calc.curve_class(DerivedCurve(chain_curve(2), conj)) == first
-        assert first == calc.apply_word(conj, calc.curve_class(chain_curve(2)))
+        assert first == ClassResolver(2)(d)
 
 
 # ---------------------------------------------------------------------------
