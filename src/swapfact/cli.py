@@ -208,9 +208,8 @@ def _radical_signature(word, calc):
     """Signed count of letters whose class lies in the radical of the
     intersection form, that is, whose covector is zero: exactly what the
     homology action cannot see."""
-    covector = calc.surface.covector
     return sum(sign for curve, sign in word.letters
-               if not any(covector(calc.curve_class(curve))))
+               if not calc.sparse(calc.curve_class(curve))[1])
 
 
 def _cmd_invariants(args) -> int:
@@ -256,7 +255,10 @@ def main(argv=None) -> int:
                     "factorizations and their machine verification.")
     top.add_argument("--version", action="version", version=__version__)
     top.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized searches (default 0)")
+                     help="rotates the order in which the deterministic psi "
+                          "search tries its 12 generators, which can pick "
+                          "another certificate; seeds equal mod 12 give the "
+                          "same output (default 0)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("nf", help="Garside normal form of a braid word")

@@ -14,8 +14,12 @@ as braid words.  All arithmetic is exact (Python ints).
 One kernel builds actions: it keeps a matrix A as its list of columns and
 right-multiplies it by one letter's transvection at a time, a rank-one
 update A <- A + sign * (A c) (x) phi_c, where phi_c = <., c> is the
-letter's covector.  Reading a word's letters left to right from the
-identity gives its action.  The same kernel resolves every derived curve:
+letter's covector.  Each calculator keeps one sparse table of the
+transvections it has met, the nonzero entries of c and of phi_c for each
+distinct class c, so a step sums only the columns of A where c is
+nonzero and updates only those where phi_c is; a chain letter touches
+two columns.  Reading a word's letters left to right from the identity
+gives its action.  The same kernel resolves every derived curve:
 the calculator keeps the columns of the last conjugator it resolved and
 walks them to the next one, stepping back over the letters past their
 common prefix (a transvection's inverse is the same curve with the other
@@ -29,12 +33,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .words import ContextMismatch, Word
 
 Vector = Tuple[int, ...]
 Matrix = Tuple[Vector, ...]
+Sparse = Tuple[Tuple[int, int], ...]    # the (index, value) nonzero entries
 
 
 class SurfaceMismatch(ContextMismatch):
@@ -46,17 +52,18 @@ class UnknownCurve(KeyError):
 
 
 def identity_matrix(r: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
+    zero = (0,) * r
+    return tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(r))
 
 
 # The largest layout parameter l an input may name (a DSL header's l=, the
-# CLI's --l).  The boundary family sets it.  At l = 21 (608 letters, a
-# 2.9 MB artifact) `generate boundary`, `invariants` and `verify` of the
-# artifact against itself took 7.4 s, 6.3 s and 8.1 s on a shared 2-vCPU
-# host, and `generate phi` 6.5 s (medians of three fresh CLI processes);
-# `verify` parses the artifact twice and resolves its classes once.  At
-# l = 22 `verify` took 9.7 s, one run 10.4 s.
-MAX_LAYOUT = 21
+# CLI's --l).  The boundary family sets it, and the header's genus cap
+# bounds it: 11 + 4l <= 100.  At l = 22 (632 letters, a 3.2 MB artifact)
+# `generate boundary`, `generate phi`, `invariants` and `verify` of the
+# artifact against itself took 6.9 s, 6.7 s, 5.0 s and 7.3 s on a shared
+# 2-vCPU host (medians of three fresh CLI processes); `verify` parses the
+# artifact twice, 2.2 s each, and resolves its classes once, 1.5 s.
+MAX_LAYOUT = 22
 
 
 @dataclass(frozen=True)
@@ -248,6 +255,7 @@ class HomologyCalculator:
         self.surface = surface
         self.table = curve_table(surface)
         self._derived_memo: Dict[tuple, Vector] = {}
+        self._sparse: Dict[Vector, Tuple[Sparse, Sparse]] = {}
         self._prefix: Tuple[tuple, List[Vector]] = (
             (), list(identity_matrix(surface.rank)))
 
@@ -270,6 +278,17 @@ class HomologyCalculator:
             return hit
         raise TypeError(f"not a curve: {curve!r}")
 
+    def sparse(self, c: Vector) -> Tuple[Sparse, Sparse]:
+        """The transvection about the class c as the nonzero entries of c
+        and of its covector, each a tuple of (index, value) pairs; an
+        empty covector means c is in the radical.  Built on first use for
+        each distinct class."""
+        hit = self._sparse.get(c)
+        if hit is None:
+            hit = self._sparse[c] = (_nonzero(c),
+                                     _nonzero(self.surface.covector(c)))
+        return hit
+
     def _resolve(self, curve: DerivedCurve) -> Vector:
         """Walk a copy of the prefix state to the conjugator, back over the
         letters past their common prefix or up from the identity, whichever
@@ -285,19 +304,23 @@ class HomologyCalculator:
             p, columns = 0, list(identity_matrix(self.surface.rank))
         self._advance(columns, letters[p:])
         self._prefix = letters, columns
-        return _combine(columns, base)
+        return _combine(columns, self.sparse(base)[0])
 
     def _advance(self, columns: List[Vector], letters: Sequence[tuple]
                  ) -> None:
         """Right-multiply the matrix with these columns by each letter's
-        transvection in turn, in place: A <- A + sign * (A c) (x) phi_c."""
-        covector = self.surface.covector
+        transvection in turn, in place: A <- A + sign * (A c) (x) phi_c,
+        touching only the columns where phi_c is nonzero."""
         for curve, sign in letters:
-            c = self.curve_class(curve)
-            ac = _combine(columns, c)
-            for j, f in enumerate(covector(c)):
-                if f:
-                    k = sign * f
+            support, phi = self.sparse(self.curve_class(curve))
+            ac = _combine(columns, support)
+            for j, f in phi:
+                k = sign * f
+                if k == 1:
+                    columns[j] = tuple(map(add, columns[j], ac))
+                elif k == -1:
+                    columns[j] = tuple(map(sub, columns[j], ac))
+                else:
                     columns[j] = tuple([a + k * b
                                         for a, b in zip(columns[j], ac)])
 
@@ -330,14 +353,15 @@ def _common_prefix(done: tuple, letters: tuple) -> int:
     return len(letters)
 
 
-def _combine(columns: Sequence[Vector], v: Sequence[int]) -> Vector:
-    """A v for the matrix A with these columns."""
-    terms = [(x, columns[k]) for k, x in enumerate(v) if x]
-    if len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
-    out = [0] * len(columns[0]) if columns else []
-    for x, col in terms:
-        for i, a in enumerate(col):
-            if a:
-                out[i] += x * a
-    return tuple(out)
+def _nonzero(v: Sequence[int]) -> Sparse:
+    return tuple((k, x) for k, x in enumerate(v) if x)
+
+
+def _combine(columns: Sequence[Vector], support: Sparse) -> Vector:
+    """A v for the matrix A with these columns, from v's nonzero
+    entries."""
+    out = None
+    for k, x in support:
+        col = columns[k] if x == 1 else tuple([x * a for a in columns[k]])
+        out = col if out is None else tuple(map(add, out, col))
+    return (0,) * len(columns) if out is None else out

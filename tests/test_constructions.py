@@ -10,8 +10,8 @@ from swapfact.constructions import (PositiveFactorization,
                                     make_psi, phi, phi_factorization, word_T)
 from swapfact.dsl import Document, print_document
 from swapfact.framed import boundary_multitwist_framed, framed_equal
-from swapfact.surface import (DerivedCurve, HomologyCalculator, NamedCurve,
-                              SurfaceModel, twist)
+from swapfact.surface import (MAX_LAYOUT, DerivedCurve, HomologyCalculator,
+                              NamedCurve, SurfaceModel, twist)
 from swapfact.swaps import SurfaceLayout, expand, rho, shadow
 from swapfact.words import compose
 
@@ -75,6 +75,25 @@ class TestCommutatorRelation:
                        for k in range(12))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "bc2348f5b10008e1e8d360c9887e6a5667f1a7d5f2cf44bff1bf2608be91e479"
+
+    @pytest.mark.parametrize("genera, seeds, digest", [
+        (range(2, 3 + MAX_LAYOUT), [0],
+         "8ee6ef4537fd881afdb2fd1d00a2ec0a087ff20e2fc5604208ddf5245aaac58b"),
+        ([3], range(12),
+         "01aa152a157d0166014a4dd5f3eb1a6caf405a529962076793b7318c756079fc"),
+        ([4], range(12),
+         "dd7397fd7dd222763f8db726bf6a443f389dab575f1ce372e10a3a1302ad805d"),
+    ], ids=["seed0-every-subsurface-genus", "genus3", "genus4"])
+    def test_psi_pinned_across_subsurface_genera(self, genera, seeds, digest):
+        # The CLI searches on the subsurface Sigma_{2+l}, l = 0..MAX_LAYOUT,
+        # and the words differ by genus.  Ties between shortest
+        # certificates fall to the meet set's iteration order, which rests
+        # on CPython's tuple hashing; these digests pin that order.
+        text = "".join(
+            print_document(Document("twist", make_psi(SurfaceModel(g, 2),
+                                                      seed=k)))
+            for g in genera for k in seeds)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_relation_homologically_trivial(self, genus2, m):
