@@ -29,8 +29,7 @@ The two procedures share no code and are required by the test suite to agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 from .words import ContextMismatch, Word, compose
 
@@ -178,8 +177,7 @@ def _tau(p: Perm, rev: Perm) -> Perm:
     return pmul(rev, pmul(p, rev))
 
 
-@dataclass(frozen=True)
-class GarsideNormalForm:
+class GarsideNormalForm(NamedTuple):
     """Delta^infimum followed by left-weighted permutation factors.
 
     Factors are stored in word order (rightmost acts first); no factor is the

@@ -14,7 +14,6 @@ Exit codes: 0 pass, 1 usage or parse error, 2 relation refuted,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import __version__
@@ -28,7 +27,8 @@ from .dsl import (MAX_HEADER, MAX_POWER, Document, ParseError, parse,
 from .framed import framed_equal
 from .invariants import fibration_invariants
 from .lift import lift as branched_lift
-from .surface import MAX_LAYOUT, HomologyCalculator, TwistWord, UnknownCurve
+from .surface import (MAX_LAYOUT, HomologyCalculator, SurfaceModel,
+                      TwistWord, UnknownCurve)
 from .swaps import expand, has_subsurface_letters, shadow
 
 REPORT_SCHEMA = 1
@@ -183,7 +183,7 @@ def _cmd_verify(args) -> int:
     # a plain word is read with the layout the other word names
     s1, s2 = d1.value.surface, d2.value.surface
     surface = s1 if s1.layout is not None else s2
-    if {s1, s2} - {surface, dataclasses.replace(surface, layout=None)}:
+    if {s1, s2} - {surface, SurfaceModel(surface.genus, surface.boundary)}:
         print("twist words on different surfaces or layouts",
               file=sys.stderr)
         return 1

@@ -24,7 +24,6 @@ module's counts are the assembled ones, 10m + 24l + 104.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .surface import (DerivedCurve, HomologyCalculator, NamedCurve,
@@ -193,20 +192,44 @@ def commutator_relation(m: int, surface: SurfaceModel | None = None,
 # Positive factorizations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PositiveFactorization:
     """An all-positive twist word, its swap-letter skeleton, and the target
     it factorizes."""
-    word: TwistWord
-    skeleton: SwapWord | None
-    description: str
-    provenance: Tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.word.is_positive():
+    __slots__ = ("word", "skeleton", "description", "provenance")
+
+    def __init__(self, word: TwistWord, skeleton: SwapWord | None,
+                 description: str, provenance: Tuple[str, ...]):
+        if not word.is_positive():
             raise ValueError("factorization letters must all be positive")
-        if len(self.provenance) != len(self.word):
+        if len(provenance) != len(word):
             raise ValueError("one provenance note per letter")
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "skeleton", skeleton)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "provenance", provenance)
+
+    def __setattr__(self, *a):
+        raise AttributeError("PositiveFactorization is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.word == other.word and self.skeleton == other.skeleton
+                and self.description == other.description
+                and self.provenance == other.provenance)
+
+    def __hash__(self):
+        return hash((self.word, self.skeleton, self.description,
+                     self.provenance))
+
+    def __repr__(self):
+        return (f"PositiveFactorization(word={self.word!r}, "
+                f"skeleton={self.skeleton!r}, "
+                f"description={self.description!r}, "
+                f"provenance={self.provenance!r})")
 
     def length(self) -> int:
         return len(self.word)

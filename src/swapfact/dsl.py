@@ -45,8 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .braid import BraidWord
 from .framed import (FramedBraid, boundary_multitwist_framed, delta_framed,
@@ -64,8 +63,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     kind: str                  # braid | framed | twist | swap
     value: object              # BraidWord | FramedBraid | TwistWord | SwapWord
 

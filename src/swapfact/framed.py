@@ -14,20 +14,37 @@ half-twist lift uses n = 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from .braid import BraidWord, StrandMismatch, compose, equal, full_twist
 
 
-@dataclass(frozen=True)
 class FramedBraid:
-    underlying: BraidWord
-    framings: Tuple[int, ...]
+    __slots__ = ("underlying", "framings")
 
-    def __post_init__(self):
-        if len(self.framings) != self.underlying.strands:
+    def __init__(self, underlying: BraidWord, framings: Tuple[int, ...]):
+        if len(framings) != underlying.strands:
             raise ValueError("framing vector length must equal strand count")
+        object.__setattr__(self, "underlying", underlying)
+        object.__setattr__(self, "framings", framings)
+
+    def __setattr__(self, *a):
+        raise AttributeError("FramedBraid is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.underlying == other.underlying
+                and self.framings == other.framings)
+
+    def __hash__(self):
+        return hash((self.underlying, self.framings))
+
+    def __repr__(self):
+        return (f"FramedBraid(underlying={self.underlying!r}, "
+                f"framings={self.framings!r})")
 
     @property
     def strands(self) -> int:

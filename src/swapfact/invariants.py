@@ -9,9 +9,8 @@ formula over Fraction.  No floating point is permitted in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .surface import HomologyCalculator
 from .constructions import PositiveFactorization
@@ -98,8 +97,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(NamedTuple):
     b1: int
     torsion: Tuple[int, ...]
 
@@ -167,8 +165,7 @@ def hyperelliptic_obstruction(g: int, n_nonsep: int,
     return "Inconclusive" if sigma.denominator == 1 else "NotHyperelliptic"
 
 
-@dataclass(frozen=True)
-class FibrationInvariants:
+class FibrationInvariants(NamedTuple):
     genus: int
     n_cycles: int
     separating: Tuple[int, ...]

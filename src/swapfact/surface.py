@@ -32,7 +32,6 @@ the last.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import add, sub
 from typing import Dict, List, Sequence, Tuple
 
@@ -66,14 +65,32 @@ def identity_matrix(r: int) -> Matrix:
 MAX_LAYOUT = 22
 
 
-@dataclass(frozen=True)
 class SurfaceLayout:
     """The four-subsurface decomposition of Sigma_{11+4l}^2."""
-    l: int = 0
 
-    def __post_init__(self):
-        if self.l < 0:
+    # __dict__ holds the cached calculator
+    __slots__ = ("l", "__dict__")
+
+    def __init__(self, l: int = 0):
+        if l < 0:
             raise ValueError("layout parameter l must be >= 0")
+        object.__setattr__(self, "l", l)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SurfaceLayout is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.l == other.l
+
+    def __hash__(self):
+        return hash((self.l,))
+
+    def __repr__(self):
+        return f"SurfaceLayout(l={self.l!r})"
 
     @property
     def subsurface_genus(self) -> int:
@@ -107,7 +124,6 @@ class SurfaceLayout:
         return HomologyCalculator(self.ambient_model())
 
 
-@dataclass(frozen=True)
 class SurfaceModel:
     """Sigma_g^s with its chain-basis homology data (s in {0, 1, 2}).
 
@@ -116,17 +132,38 @@ class SurfaceModel:
     needs s = 2 and genus >= 11+4l; above genus 11+4l the layout sits on
     the first chain curves.
     """
-    genus: int
-    boundary: int = 2
-    layout: SurfaceLayout | None = None
 
-    def __post_init__(self):
-        if self.genus < 0 or self.boundary not in (0, 1, 2):
+    __slots__ = ("genus", "boundary", "layout")
+
+    def __init__(self, genus: int, boundary: int = 2,
+                 layout: SurfaceLayout | None = None):
+        if genus < 0 or boundary not in (0, 1, 2):
             raise ValueError("unsupported surface")
-        if self.layout is not None and (
-                self.boundary != 2 or self.genus < self.layout.ambient_genus):
-            raise ValueError(f"layout l={self.layout.l} needs s=2 and genus "
-                             f">= {self.layout.ambient_genus}")
+        if layout is not None and (
+                boundary != 2 or genus < layout.ambient_genus):
+            raise ValueError(f"layout l={layout.l} needs s=2 and genus "
+                             f">= {layout.ambient_genus}")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "layout", layout)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SurfaceModel is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.genus == other.genus and self.boundary == other.boundary
+                and self.layout == other.layout)
+
+    def __hash__(self):
+        return hash((self.genus, self.boundary, self.layout))
+
+    def __repr__(self):
+        return (f"SurfaceModel(genus={self.genus!r}, "
+                f"boundary={self.boundary!r}, layout={self.layout!r})")
 
     @property
     def rank(self) -> int:
@@ -156,22 +193,59 @@ class SurfaceModel:
 # Curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class NamedCurve:
     """A curve known to the ambient surface's table, e.g. ('chain', 3),
     ('boundary', 1), ('dcurve', 2), ('subchain', i, k), ('subdcurve', i, k),
     ('subboundary', i, side)."""
-    tag: tuple
+
+    __slots__ = ("tag",)
+
+    def __init__(self, tag: tuple):
+        object.__setattr__(self, "tag", tag)
+
+    def __setattr__(self, *a):
+        raise AttributeError("NamedCurve is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.tag == other.tag
+
+    def __hash__(self):
+        return hash((self.tag,))
 
     def __repr__(self):
         return f"NamedCurve{self.tag}"
 
 
-@dataclass(frozen=True)
 class DerivedCurve:
     """The image w(base) of a named curve under a twist word w."""
-    base: NamedCurve
-    conjugator: "TwistWord"
+
+    __slots__ = ("base", "conjugator")
+
+    def __init__(self, base: NamedCurve, conjugator: "TwistWord"):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "conjugator", conjugator)
+
+    def __setattr__(self, *a):
+        raise AttributeError("DerivedCurve is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.base == other.base
+                and self.conjugator == other.conjugator)
+
+    def __hash__(self):
+        return hash((self.base, self.conjugator))
+
+    def __repr__(self):
+        return (f"DerivedCurve(base={self.base!r}, "
+                f"conjugator={self.conjugator!r})")
 
 
 def chain_curve(k: int) -> NamedCurve:

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import os
 import random
 import re
 import subprocess
@@ -785,6 +786,20 @@ class TestCLI:
         proc = subprocess.run([sys.executable, "-m", "swapfact.cli",
                                "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
+
+    def test_import_skips_dataclasses_and_inspect(self):
+        """Every command is a fresh process that imports every module, and
+        importing dataclasses (which pulls in inspect, ast and dis) and
+        building frozen dataclasses once took most of that.  -S keeps site
+        hooks from importing either module first."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, swapfact.cli; print("
+             "sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 _MALFORMED = ["x", "", "1e3", "0x10", "9" * 30]   # never an int in range

@@ -3,13 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swapfact.constructions import (boundary_multitwist_factorization,
+from swapfact.braid import BraidWord
+from swapfact.constructions import (PositiveFactorization,
+                                    boundary_multitwist_factorization,
                                     extend_to_genus)
 from swapfact.dsl import Document, parse, print_document
+from swapfact.framed import FramedBraid
 from swapfact.surface import (DerivedCurve, HomologyCalculator, NamedCurve,
-                              SurfaceMismatch, SurfaceModel, TwistWord,
-                              UnknownCurve, chain_curve, identity_matrix,
-                              twist)
+                              SurfaceLayout, SurfaceMismatch, SurfaceModel,
+                              TwistWord, UnknownCurve, chain_curve,
+                              identity_matrix, twist)
 from swapfact.words import compose
 
 from homology_oracle import ClassResolver, mat_mul
@@ -222,6 +225,89 @@ class TestCurves:
         first = calc.curve_class(d)
         assert calc.curve_class(DerivedCurve(chain_curve(2), conj)) == first
         assert first == ClassResolver(2)(d)
+
+
+# ---------------------------------------------------------------------------
+# The hand-written value types
+# ---------------------------------------------------------------------------
+
+_S3 = SurfaceModel(3)
+_C2 = twist(_S3, chain_curve(2))
+_WORD = "TwistWord(SurfaceModel(genus=3, boundary=2, layout=None); 1 letters)"
+
+# (value, its fields by name in order, another value of the same type, its
+# repr, constructors that must raise ValueError with these messages); the
+# reprs and messages are those the frozen dataclasses printed
+_VALUES = {
+    "SurfaceLayout": (
+        SurfaceLayout(1), {"l": 1}, SurfaceLayout(2), "SurfaceLayout(l=1)",
+        [(lambda: SurfaceLayout(-1), "layout parameter l must be >= 0")]),
+    "SurfaceModel": (
+        SurfaceModel(11, 2, SurfaceLayout(0)),
+        {"genus": 11, "boundary": 2, "layout": SurfaceLayout(0)},
+        SurfaceModel(11, 2),
+        "SurfaceModel(genus=11, boundary=2, layout=SurfaceLayout(l=0))",
+        [(lambda: SurfaceModel(14, 2, SurfaceLayout(1)),
+          "layout l=1 needs s=2 and genus >= 15"),
+         (lambda: SurfaceModel(11, 1, SurfaceLayout(0)),
+          "layout l=0 needs s=2 and genus >= 11"),
+         (lambda: SurfaceModel(2, 3), "unsupported surface"),
+         (lambda: SurfaceModel(-1), "unsupported surface")]),
+    "NamedCurve": (
+        chain_curve(3), {"tag": ("chain", 3)}, chain_curve(4),
+        "NamedCurve('chain', 3)", []),
+    "DerivedCurve": (
+        DerivedCurve(chain_curve(1), _C2),
+        {"base": chain_curve(1), "conjugator": _C2},
+        DerivedCurve(chain_curve(1), _C2.inverse()),
+        f"DerivedCurve(base=NamedCurve('chain', 1), conjugator={_WORD})",
+        []),
+    "FramedBraid": (
+        FramedBraid(BraidWord(3, [(1, 1)]), (0, 1, 2)),
+        {"underlying": BraidWord(3, [(1, 1)]), "framings": (0, 1, 2)},
+        FramedBraid(BraidWord(3, [(1, 1)]), (0, 1, 3)),
+        "FramedBraid(underlying=BraidWord(3; 1 letters), framings=(0, 1, 2))",
+        [(lambda: FramedBraid(BraidWord(3), (0, 0)),
+          "framing vector length must equal strand count")]),
+    "PositiveFactorization": (
+        PositiveFactorization(_C2, None, "d", ("x",)),
+        {"word": _C2, "skeleton": None, "description": "d",
+         "provenance": ("x",)},
+        PositiveFactorization(_C2, None, "e", ("x",)),
+        f"PositiveFactorization(word={_WORD}, skeleton=None, "
+        "description='d', provenance=('x',))",
+        [(lambda: PositiveFactorization(_C2.inverse(), None, "d", ("x",)),
+          "factorization letters must all be positive"),
+         (lambda: PositiveFactorization(_C2, None, "d", ()),
+          "one provenance note per letter")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES))
+def test_value_type_semantics(name):
+    """Each value type hashes, compares, refuses assignment, prints and
+    validates as the frozen dataclass it replaced did: the types key dicts
+    and sets, and ContextMismatch messages print the reprs."""
+    x, fields, other, text, bad = _VALUES[name]
+    cls = type(x)
+    assert cls.__name__ == name
+    values = tuple(fields.values())
+    twin = cls(**fields)
+    assert x == twin and hash(x) == hash(twin) == hash(values)
+    assert x != other and {x: 1, twin: 2} == {x: 2}
+    assert x != values and x != values[0]
+    assert SurfaceLayout(0) != SurfaceModel(11, 2, SurfaceLayout(0))
+    for attr in fields:
+        with pytest.raises(AttributeError):
+            setattr(x, attr, getattr(other, attr))
+        with pytest.raises(AttributeError):
+            delattr(x, attr)
+    assert x == twin
+    assert repr(x) == text
+    for make, message in bad:
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
