@@ -214,6 +214,10 @@ class PositiveFactorization:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return type(self), (self.word, self.skeleton, self.description,
+                             self.provenance)
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented

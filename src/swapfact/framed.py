@@ -33,6 +33,9 @@ class FramedBraid:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return type(self), (self.underlying, self.framings)
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented

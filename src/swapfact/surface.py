@@ -81,6 +81,10 @@ class SurfaceLayout:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: __setattr__ refuses
+        return type(self), (self.l,)
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -152,6 +156,9 @@ class SurfaceModel:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return type(self), (self.genus, self.boundary, self.layout)
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -208,6 +215,9 @@ class NamedCurve:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return type(self), (self.tag,)
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -233,6 +243,9 @@ class DerivedCurve:
         raise AttributeError("DerivedCurve is immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.base, self.conjugator)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -285,9 +286,9 @@ _VALUES = {
 
 @pytest.mark.parametrize("name", sorted(_VALUES))
 def test_value_type_semantics(name):
-    """Each value type hashes, compares, refuses assignment, prints and
-    validates as the frozen dataclass it replaced did: the types key dicts
-    and sets, and ContextMismatch messages print the reprs."""
+    """Each value type hashes, compares, refuses assignment, copies, prints
+    and validates as the frozen dataclass it replaced did: the types key
+    dicts and sets, and ContextMismatch messages print the reprs."""
     x, fields, other, text, bad = _VALUES[name]
     cls = type(x)
     assert cls.__name__ == name
@@ -302,7 +303,7 @@ def test_value_type_semantics(name):
             setattr(x, attr, getattr(other, attr))
         with pytest.raises(AttributeError):
             delattr(x, attr)
-    assert x == twin
+    assert x == twin and copy.copy(x) == x
     assert repr(x) == text
     for make, message in bad:
         with pytest.raises(ValueError) as exc:
