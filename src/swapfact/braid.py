@@ -10,14 +10,17 @@ Two independent decision procedures for the word problem are provided:
 
 * :func:`normal_form` computes the left-greedy Garside normal form
   Delta^p . A_1 ... A_k with permutation-braid factors, without tabulating
-  the symmetric group, so it works for any strand count we need (up to B_36
-  here).  It is built incrementally (Epstein et al., *Word Processing in
-  Groups*, ch. 9): each letter's simple factor is appended and left-weighted
-  backwards until a pair is already left-weighted or a factor becomes
-  Delta, which leaves for the front at once.  A pair visited costs O(n)
-  plus O(1) per crossing moved, and on seeded random words of either sign
-  the visits per letter stay flat as the word grows, so the normal form
-  takes linear time in practice.
+  the symmetric group, so it works for any strand count we need (up to
+  B_100 here, for the band certificate at the layout cap).  The word is
+  cut into maximal runs of one sign whose positive part is a permutation
+  braid, and each run becomes one simple factor.  The form is built
+  incrementally (Epstein et al., *Word Processing in Groups*, ch. 9):
+  each run's factor is appended and left-weighted backwards until a pair
+  is already left-weighted or a factor becomes Delta, which leaves for the
+  front at once.  A pair visited costs O(n) plus O(1) per crossing moved,
+  and on seeded random words of either sign the visits per letter stay
+  flat in B_4 and grow slowly in B_24 as the word grows, so the normal
+  form takes near-linear time in practice.
 * :func:`dynnikov_equal` acts on integer laminations of the punctured disk
   via the Dynnikov coordinate update rules.  The action cannot see the
   central full twists, so the test also compares exponent sums, which is
@@ -29,6 +32,7 @@ The two procedures share no code and are required by the test suite to agree.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, NamedTuple, Tuple
 
 from .words import ContextMismatch, Word, compose
@@ -131,13 +135,22 @@ def band(i: int, j: int, conjugator: BraidWord) -> BraidWord:
 #   finishing set F(A) = {i : A = A' . b_i}  = descents of A
 # and a pair (A, B) is left-weighted iff S(B) is a subset of F(A).
 #
-# The normal form is built incrementally (Epstein et al., *Word Processing
-# in Groups*, ch. 9; Dehornoy et al., *Foundations of Garside Theory*).
-# Appending a simple X to a normal form A_1 ... A_k, the pairs (A_k, X),
-# (A_{k-1}, A_k'), ... are left-weighted from right to left.  Left-weighting
-# a pair keeps the pair to its right left-weighted, and a pair that does not
-# change leaves everything to its left as it was, so the pass stops there.
-# Afterwards only the last factor can be the identity; it is dropped.
+# A word is first cut into runs, each of which is Delta^e . X with X
+# simple.  A maximal run of positive letters whose product P stays a
+# permutation braid is P itself, with e = 0.  A maximal run of negative
+# letters b_i1^-1 ... b_ik^-1 is P^-1 with P = b_ik ... b_i1 simple, and
+# that is Delta^-1 . (Delta P^-1): one Delta and one complement factor,
+# where reading the run one letter at a time gives k of each, every
+# complement a near-Delta of n(n-1)/2 - 1 crossings.
+#
+# The normal form is then built incrementally (Epstein et al., *Word
+# Processing in Groups*, ch. 9; Dehornoy et al., *Foundations of Garside
+# Theory*).  Appending a simple X to a normal form A_1 ... A_k, the pairs
+# (A_k, X), (A_{k-1}, A_k'), ... are left-weighted from right to left.
+# Left-weighting a pair keeps the pair to its right left-weighted, and a
+# pair that does not change leaves everything to its left as it was, so the
+# pass stops there.  Afterwards only the last factor can be the identity; it
+# is dropped.
 #
 # A factor A_j that left-weighting turns into Delta leaves the pass at once:
 # left-weighting (A_{j-1}, Delta) gives (Delta, tau(A_{j-1})), so every pair
@@ -153,11 +166,14 @@ def band(i: int, j: int, conjugator: BraidWord) -> BraidWord:
 # A pass visits at most k pairs for k factors, each for O(n) plus O(1) per
 # crossing moved (at most n(n-1)/2), so L letters cost O(L k n^2) at worst.
 # The exit is what keeps passes short on mixed-sign words: each negative
-# letter leaves a near-Delta factor, the Deltas these assemble form at the
+# run leaves a complement factor, the Deltas these assemble form at the
 # right end, and walking each back through all k factors made such words
-# quadratic.  With it, seeded random mixed-sign words of L = 2,000 to 8,000
-# letters cost about 3 `_left_weight` calls per letter in B_4 and 8 to 9 in
-# B_24, against 6 for positive B_24 words.
+# quadratic.  With it and the runs, seeded random words of L = 2,000 to
+# 8,000 letters cost about 2 `_left_weight` calls per letter in B_4 and 6
+# to 8 in B_24 if mixed-sign, and 1.4 in B_24 if positive; one factor per
+# letter cost 2.7, 7.6 to 10.9 and 5.5 to 6.2.  Words made of long runs
+# gain most: the band certificate of `lift.rho_band_factorization` at
+# g' = 24 (B_100) takes 392 calls, against 22,146 one letter at a time.
 
 
 def pmul(p: Perm, q: Perm) -> Perm:
@@ -227,18 +243,31 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     ident = list(range(n))
     rev = ident[::-1]
 
-    # Write each letter as Delta^e . X with X simple (b_i^-1 is
-    # Delta^-1 . Delta b_i^-1), then push all Delta powers to the front:
-    # X . Delta^e = Delta^e . tau^e(X).
+    # Cut the word, right to left, into maximal runs of one sign whose
+    # positive part P is a permutation braid, and write each run as
+    # Delta^e . X with X simple: a positive run is P itself, a negative run
+    # P^-1 is Delta^-1 . Delta P^-1.  Then push all Delta powers to the
+    # front: X . Delta^e = Delta^e . tau^e(X).  `run` holds P^-1 for a
+    # positive run (b_i . P swaps positions i-1, i of P^-1) and P for a
+    # negative one (P . b_i swaps those of P); either way the letter keeps
+    # P simple iff run[i-1] < run[i].  The sentinel letter ends the last
+    # run.
     simples: list[Perm] = []
     infimum = 0
-    for i, sign in reversed(w.letters):
-        t = list(ident)
-        t[i - 1], t[i] = t[i], t[i - 1]
-        x = tuple(t) if sign > 0 else pmul(rev, t)
-        simples.append(_tau(x, rev) if infimum % 2 else x)
-        if sign < 0:
-            infimum -= 1
+    run: list[int] = []
+    run_sign = 0
+    for i, sign in itertools.chain(reversed(w.letters), ((1, None),)):
+        if sign == run_sign and run[i - 1] < run[i]:
+            run[i - 1], run[i] = run[i], run[i - 1]
+            continue
+        if run_sign:
+            x = pinv(run) if run_sign > 0 else pmul(rev, pinv(run))
+            simples.append(_tau(x, rev) if infimum % 2 else x)
+            if run_sign < 0:
+                infimum -= 1
+        run = list(ident)
+        run[i - 1], run[i] = run[i], run[i - 1]
+        run_sign = sign
 
     # Append the simples left to right, left-weighting backwards from the
     # new pair until a pair is already left-weighted or a factor becomes

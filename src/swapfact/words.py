@@ -39,6 +39,10 @@ class Word:
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: __setattr__ refuses
+        return type(self), (self.context, self.letters)
+
     def __len__(self) -> int:
         return len(self.letters)
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from swapfact import braid
 from swapfact.braid import (BraidWord, GarsideNormalForm, StrandMismatch,
-                            _act_padded, _padded_base, band, compose,
-                            dynnikov_equal, equal, full_twist, half_twist,
-                            normal_form)
+                            _act_padded, _padded_base, band,
+                            block_half_twist, compose, dynnikov_equal, equal,
+                            full_twist, half_twist, normal_form)
 from swapfact.cli import main
 from swapfact.dsl import Document, print_document
 
@@ -210,6 +210,25 @@ def delta_heavy_letters(n):
         st.lists(st.integers(1, n - 1).map(lambda i: -i), max_size=60))
 
 
+def run_heavy_letters(n):
+    """Words of long runs of one sign: block half twists of either sign
+    (runs whose positive part is simple), squares b_i^+-2 (a run stops
+    being simple), and Delta^+-k."""
+    def block(lo, size, sign):
+        w = block_half_twist(n, lo, min(lo + size, n))
+        return list((w if sign > 0 else w.inverse()).to_ints())
+
+    delta = half_twist(n)
+    pieces = st.one_of(
+        st.builds(block, st.integers(1, n - 1), st.integers(1, n - 1),
+                  st.sampled_from([1, -1])),
+        st.integers(1, n - 1).flatmap(
+            lambda i: st.sampled_from([[i, i], [-i, -i]])),
+        st.integers(-2, 2).map(lambda k: list(delta.power(k).to_ints())))
+    return st.lists(pieces, max_size=8).map(
+        lambda ps: [x for p in ps for x in p])
+
+
 def assert_canonical(w, v):
     """w's normal form is a left-weighted Delta^p A_1 ... A_k that spells
     w, and equal agrees with the independent oracle on (w, v)."""
@@ -238,6 +257,14 @@ class TestCanonicalForm:
     def test_delta_heavy_words_are_canonical(self, data):
         n = data.draw(st.integers(3, 8))
         letters = delta_heavy_letters(n)
+        assert_canonical(BraidWord.from_ints(n, data.draw(letters)),
+                         BraidWord.from_ints(n, data.draw(letters)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_run_heavy_words_are_canonical(self, data):
+        n = data.draw(st.integers(3, 10))
+        letters = run_heavy_letters(n)
         assert_canonical(BraidWord.from_ints(n, data.draw(letters)),
                          BraidWord.from_ints(n, data.draw(letters)))
 

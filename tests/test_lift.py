@@ -1,5 +1,6 @@
 import pytest
 
+from swapfact import braid as braid_mod
 from swapfact import lift as lift_mod
 from swapfact import swaps as swaps_mod
 from swapfact.braid import (BraidWord, band, compose, dynnikov_equal, equal,
@@ -99,9 +100,10 @@ class TestSwapBands:
         for core, conj in bands:
             assert band(core, 0, conj).exponent_sum() == 1
 
-    @pytest.mark.parametrize("gp", range(1, 9))
+    @pytest.mark.parametrize("gp", [*range(1, 9), 14])
     def test_certified_against_target(self, gp):
-        # the Dynnikov oracle shares no code with the Garside normal form
+        # the Dynnikov oracle shares no code with the Garside normal form;
+        # at g' = 14 (B_60) it takes about 0.7 s, and 3.3 s at g' = 24
         w, target = band_word(swap_bands(gp)), swap_braid_target(gp)
         assert equal(w, target)
         assert dynnikov_equal(w, target)
@@ -151,12 +153,30 @@ class TestSwapBands:
         assert equal(w, target)
         assert dynnikov_equal(w, target)
 
-    def test_bad_family_raises(self, monkeypatch):
+    @pytest.mark.parametrize("gp", [1, 14, 24])
+    def test_bad_family_raises(self, monkeypatch, gp):
         good = lift_mod.swap_bands
         monkeypatch.setattr(lift_mod, "swap_bands", lambda gp:
                             good(gp)[:-1] + [(1, BraidWord(4 * gp + 4))])
         with pytest.raises(CertificationError):
-            lift_mod.rho_band_factorization(1)
+            lift_mod.rho_band_factorization(gp)
+
+    def test_certificate_work_at_the_layout_cap(self, monkeypatch):
+        # g' = 24 is the subsurface genus at l = 22.  The band product and
+        # the target are long runs of one sign; read one simple factor per
+        # letter, their normal forms took 22,146 `_left_weight` calls, and
+        # read one per run they take 392.
+        calls = 0
+        left_weight = braid_mod._left_weight
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return left_weight(a, b)
+
+        monkeypatch.setattr(braid_mod, "_left_weight", counted)
+        rho_band_factorization(24)
+        assert calls < 2000, calls
 
     def test_expansion_refuses_a_bad_family(self, monkeypatch):
         # the swap expansion certifies the band family before shifting it

@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from swapfact.surface import (DerivedCurve, HomologyCalculator, NamedCurve,
                               SurfaceLayout, SurfaceMismatch, SurfaceModel,
                               TwistWord, UnknownCurve, chain_curve,
                               identity_matrix, twist)
+from swapfact.swaps import rho
 from swapfact.words import compose
 
 from homology_oracle import ClassResolver, mat_mul
@@ -309,6 +311,29 @@ def test_value_type_semantics(name):
         with pytest.raises(ValueError) as exc:
             make()
         assert str(exc.value) == message
+
+
+_LAYOUT = SurfaceLayout(0)
+_WORDS = {
+    "BraidWord": BraidWord(3, [(1, 1)]),
+    "TwistWord": compose(_C2, twist(_S3, DerivedCurve(chain_curve(1), _C2),
+                                    -1)),
+    "SwapWord": rho(_LAYOUT, 1, 2).conjugate_letters(rho(_LAYOUT, 2, 3)),
+    "DerivedCurve": DerivedCurve(chain_curve(1), _C2),
+    "PositiveFactorization": PositiveFactorization(_C2, None, "d", ("x",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WORDS))
+def test_words_copy_and_pickle(name):
+    """Words refuse assignment, so copy and pickle must rebuild them
+    through __init__; so must every value type that holds one."""
+    x = _WORDS[name]
+    assert type(x).__name__ == name
+    for twin in (copy.copy(x), copy.deepcopy(x),
+                 pickle.loads(pickle.dumps(x))):
+        assert type(twin) is type(x) and twin == x
+        assert hash(twin) == hash(x)
 
 
 # ---------------------------------------------------------------------------
