@@ -170,10 +170,10 @@ def band(i: int, j: int, conjugator: BraidWord) -> BraidWord:
 # right end, and walking each back through all k factors made such words
 # quadratic.  With it and the runs, seeded random words of L = 2,000 to
 # 8,000 letters cost about 2 `_left_weight` calls per letter in B_4 and 6
-# to 8 in B_24 if mixed-sign, and 1.4 in B_24 if positive; one factor per
-# letter cost 2.7, 7.6 to 10.9 and 5.5 to 6.2.  Words made of long runs
-# gain most: the band certificate of `lift.rho_band_factorization` at
-# g' = 24 (B_100) takes 392 calls, against 22,146 one letter at a time.
+# to 8 in B_24 if mixed-sign, and 1.4 in B_24 if positive.  Words made of
+# long runs gain most from the runs: the band certificate of
+# `lift.rho_band_factorization` at g' = 24 (B_100) takes 392 calls,
+# against 22,146 with one factor per letter.
 
 
 def pmul(p: Perm, q: Perm) -> Perm:
