@@ -243,15 +243,12 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     ident = list(range(n))
     rev = ident[::-1]
 
-    # Cut the word, right to left, into maximal runs of one sign whose
-    # positive part P is a permutation braid, and write each run as
-    # Delta^e . X with X simple: a positive run is P itself, a negative run
-    # P^-1 is Delta^-1 . Delta P^-1.  Then push all Delta powers to the
-    # front: X . Delta^e = Delta^e . tau^e(X).  `run` holds P^-1 for a
-    # positive run (b_i . P swaps positions i-1, i of P^-1) and P for a
-    # negative one (P . b_i swaps those of P); either way the letter keeps
-    # P simple iff run[i-1] < run[i].  The sentinel letter ends the last
-    # run.
+    # Cut the word, right to left, into the runs described above, each
+    # Delta^e . X, and push all Delta powers to the front:
+    # X . Delta^e = Delta^e . tau^e(X).  `run` holds P^-1 for a positive
+    # run (b_i . P swaps positions i-1, i of P^-1) and P for a negative one
+    # (P . b_i swaps those of P); either way the letter keeps P simple iff
+    # run[i-1] < run[i].  The sentinel letter ends the last run.
     simples: list[Perm] = []
     infimum = 0
     run: list[int] = []
