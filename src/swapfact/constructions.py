@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 from .surface import (DerivedCurve, HomologyCalculator, NamedCurve,
                       SurfaceLayout, SurfaceModel, TwistWord, twist)
 from .swaps import SwapWord, expand, rho
-from .words import Word, compose
+from .words import Value, Word, compose
 
 
 class SearchExhausted(RuntimeError):
@@ -192,7 +192,7 @@ def commutator_relation(m: int, surface: SurfaceModel | None = None,
 # Positive factorizations
 # ---------------------------------------------------------------------------
 
-class PositiveFactorization:
+class PositiveFactorization(Value):
     """An all-positive twist word, its swap-letter skeleton, and the target
     it factorizes."""
 
@@ -204,36 +204,7 @@ class PositiveFactorization:
             raise ValueError("factorization letters must all be positive")
         if len(provenance) != len(word):
             raise ValueError("one provenance note per letter")
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "skeleton", skeleton)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "provenance", provenance)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PositiveFactorization is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), (self.word, self.skeleton, self.description,
-                             self.provenance)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.word == other.word and self.skeleton == other.skeleton
-                and self.description == other.description
-                and self.provenance == other.provenance)
-
-    def __hash__(self):
-        return hash((self.word, self.skeleton, self.description,
-                     self.provenance))
-
-    def __repr__(self):
-        return (f"PositiveFactorization(word={self.word!r}, "
-                f"skeleton={self.skeleton!r}, "
-                f"description={self.description!r}, "
-                f"provenance={self.provenance!r})")
+        self._init(word, skeleton, description, provenance)
 
     def length(self) -> int:
         return len(self.word)

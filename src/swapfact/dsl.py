@@ -464,18 +464,24 @@ def _parse_swap(params, toks) -> SwapWord:
         if tok.startswith(("rhoA(", "sub(")):
             m = re.fullmatch(r"rhoA\((\d+),(\d+);(.*)\)(?:\^(-?\d+))?", tok)
             if m:
+                i, j = int(m.group(1)), int(m.group(2))
+                if not 1 <= i < j <= 4:
+                    raise ParseError(f"bad swap pair rhoA({i},{j})", ln, col)
                 a = _parse_twist_tokens(sub, _body(m.group(3), ln, col),
                                         {}, {})[0]
-                v = SwapWord(layout, ((("sub", int(m.group(1)), a), 1),))
-                kind = ("conj", v, ("rho", int(m.group(1)), int(m.group(2))))
+                v = SwapWord(layout, ((("sub", i, a), 1),))
+                kind = ("conj", v, ("rho", i, j))
                 k = _exponent(m.group(4), ln, col)
             else:
                 m = re.fullmatch(r"sub\((.*);\s*F(\d+)\)(?:\^(-?\d+))?", tok)
                 if not m:
                     raise ParseError("malformed swap token", ln, col)
+                i = int(m.group(2))
+                if not 1 <= i <= 4:
+                    raise ParseError(f"no subsurface F{i}", ln, col)
                 a = _parse_twist_tokens(sub, _body(m.group(1), ln, col),
                                         {}, {})[0]
-                kind = ("sub", int(m.group(2)), a)
+                kind = ("sub", i, a)
                 k = _exponent(m.group(3), ln, col)
         else:
             base, k = _split_power(tok, ln, col)
@@ -486,6 +492,8 @@ def _parse_swap(params, toks) -> SwapWord:
                     raise ParseError(f"bad swap pair {base}", ln, col)
             elif _M_TOK.fullmatch(base):
                 kind = ("M", int(_M_TOK.fullmatch(base).group(1)))
+                if not 1 <= kind[1] <= 4:
+                    raise ParseError(f"no subsurface boundary {base}", ln, col)
             elif base == "Mb":
                 kind = ("Mb",)
             else:

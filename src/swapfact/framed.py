@@ -17,37 +17,16 @@ from __future__ import annotations
 from typing import Tuple
 
 from .braid import BraidWord, StrandMismatch, compose, equal, full_twist
+from .words import Value
 
 
-class FramedBraid:
+class FramedBraid(Value):
     __slots__ = ("underlying", "framings")
 
     def __init__(self, underlying: BraidWord, framings: Tuple[int, ...]):
         if len(framings) != underlying.strands:
             raise ValueError("framing vector length must equal strand count")
-        object.__setattr__(self, "underlying", underlying)
-        object.__setattr__(self, "framings", framings)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FramedBraid is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), (self.underlying, self.framings)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.underlying == other.underlying
-                and self.framings == other.framings)
-
-    def __hash__(self):
-        return hash((self.underlying, self.framings))
-
-    def __repr__(self):
-        return (f"FramedBraid(underlying={self.underlying!r}, "
-                f"framings={self.framings!r})")
+        self._init(underlying, framings)
 
     @property
     def strands(self) -> int:

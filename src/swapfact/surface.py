@@ -35,7 +35,7 @@ import functools
 from operator import add, sub
 from typing import Dict, List, Sequence, Tuple
 
-from .words import ContextMismatch, Word
+from .words import ContextMismatch, Value, Word
 
 Vector = Tuple[int, ...]
 Matrix = Tuple[Vector, ...]
@@ -65,7 +65,7 @@ def identity_matrix(r: int) -> Matrix:
 MAX_LAYOUT = 22
 
 
-class SurfaceLayout:
+class SurfaceLayout(Value):
     """The four-subsurface decomposition of Sigma_{11+4l}^2."""
 
     # __dict__ holds the cached calculator
@@ -74,27 +74,7 @@ class SurfaceLayout:
     def __init__(self, l: int = 0):
         if l < 0:
             raise ValueError("layout parameter l must be >= 0")
-        object.__setattr__(self, "l", l)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SurfaceLayout is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__: __setattr__ refuses
-        return type(self), (self.l,)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.l == other.l
-
-    def __hash__(self):
-        return hash((self.l,))
-
-    def __repr__(self):
-        return f"SurfaceLayout(l={self.l!r})"
+        self._init(l)
 
     @property
     def subsurface_genus(self) -> int:
@@ -128,7 +108,7 @@ class SurfaceLayout:
         return HomologyCalculator(self.ambient_model())
 
 
-class SurfaceModel:
+class SurfaceModel(Value):
     """Sigma_g^s with its chain-basis homology data (s in {0, 1, 2}).
 
     layout is the four-subsurface layout whose subsurface curves the
@@ -147,30 +127,7 @@ class SurfaceModel:
                 boundary != 2 or genus < layout.ambient_genus):
             raise ValueError(f"layout l={layout.l} needs s=2 and genus "
                              f">= {layout.ambient_genus}")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "layout", layout)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SurfaceModel is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), (self.genus, self.boundary, self.layout)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.genus == other.genus and self.boundary == other.boundary
-                and self.layout == other.layout)
-
-    def __hash__(self):
-        return hash((self.genus, self.boundary, self.layout))
-
-    def __repr__(self):
-        return (f"SurfaceModel(genus={self.genus!r}, "
-                f"boundary={self.boundary!r}, layout={self.layout!r})")
+        self._init(genus, boundary, layout)
 
     @property
     def rank(self) -> int:
@@ -200,7 +157,7 @@ class SurfaceModel:
 # Curves
 # ---------------------------------------------------------------------------
 
-class NamedCurve:
+class NamedCurve(Value):
     """A curve known to the ambient surface's table, e.g. ('chain', 3),
     ('boundary', 1), ('dcurve', 2), ('subchain', i, k), ('subdcurve', i, k),
     ('subboundary', i, side)."""
@@ -208,21 +165,9 @@ class NamedCurve:
     __slots__ = ("tag",)
 
     def __init__(self, tag: tuple):
-        object.__setattr__(self, "tag", tag)
+        self._init(tag)
 
-    def __setattr__(self, *a):
-        raise AttributeError("NamedCurve is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), (self.tag,)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.tag == other.tag
-
+    # hashed per letter of every new twist word: Value's getter is slower
     def __hash__(self):
         return hash((self.tag,))
 
@@ -230,35 +175,13 @@ class NamedCurve:
         return f"NamedCurve{self.tag}"
 
 
-class DerivedCurve:
+class DerivedCurve(Value):
     """The image w(base) of a named curve under a twist word w."""
 
     __slots__ = ("base", "conjugator")
 
     def __init__(self, base: NamedCurve, conjugator: "TwistWord"):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "conjugator", conjugator)
-
-    def __setattr__(self, *a):
-        raise AttributeError("DerivedCurve is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), (self.base, self.conjugator)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.base == other.base
-                and self.conjugator == other.conjugator)
-
-    def __hash__(self):
-        return hash((self.base, self.conjugator))
-
-    def __repr__(self):
-        return (f"DerivedCurve(base={self.base!r}, "
-                f"conjugator={self.conjugator!r})")
+        self._init(base, conjugator)
 
 
 def chain_curve(k: int) -> NamedCurve:

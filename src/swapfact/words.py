@@ -6,11 +6,19 @@ a tuple of letters (generator, sign) with sign +1 or -1, read right to left
 live in: a strand count, a surface or a layout.  This module defines the
 algebra once; the subclasses in braid, surface and swaps add only their
 context accessor, their letter check and what depends on the group.
+
+Words and the value types (surfaces, curves, framed braids, factorizations)
+are immutable records on one base, Value.  A subclass names its fields in
+__slots__ (a name starting with _ is private state), checks its arguments
+and stores them with self._init(...); Value refuses assignment and deletion,
+compares and hashes the field tuple, prints Name(field=value, ...), and
+copies and pickles through __init__.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Iterable
 
 
@@ -18,7 +26,51 @@ class ContextMismatch(ValueError):
     """Raised when combining words defined in different contexts."""
 
 
-class Word:
+class Value:
+    """An immutable record whose fields are the public names in its
+    class's __slots__, plus those of the classes it derives from."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(
+            f for f in cls.__dict__.get("__slots__", ())
+            if not f.startswith("_"))
+        get = attrgetter(*cls._fields)
+        # attrgetter of one name returns the value, not a 1-tuple
+        cls._values = get if len(cls._fields) > 1 else staticmethod(
+            lambda obj: (get(obj),))
+
+    def _init(self, *values) -> None:
+        """Store the fields, in slot order; only __init__ calls this."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: __setattr__ refuses
+        return type(self), self._values(self)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        pairs = map("{}={!r}".format, self._fields, self._values(self))
+        return f"{type(self).__name__}({', '.join(pairs)})"
+
+
+class Word(Value):
     """An unreduced word; instances are immutable and cache their hash, so
     they serve as dictionary keys however long they are."""
 
@@ -26,8 +78,7 @@ class Word:
     _mismatch = ContextMismatch
 
     def __init__(self, context, letters: Iterable[tuple] = ()):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "letters", tuple(letters))
+        self._init(context, tuple(letters))
         object.__setattr__(self, "_hash", None)
         if any(s != 1 and s != -1 for _, s in self.letters):
             raise ValueError("letter sign must be +1 or -1")
@@ -36,24 +87,12 @@ class Word:
     def _check(self) -> None:
         """Reject letters whose generator the context does not have."""
 
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__: __setattr__ refuses
-        return type(self), (self.context, self.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.context == other.context
-                and self.letters == other.letters)
-
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash",
-                               hash((self.context, self.letters)))
+            object.__setattr__(self, "_hash", hash(self._values(self)))
         return self._hash
 
     def __repr__(self):

@@ -163,21 +163,38 @@ class TestGarside:
         # Each Delta the factors assemble forms at the right end.  Carried
         # back through every factor, it made these mixed-sign B_4 words
         # cost 105 calls per letter at 2,000 letters and 365 at 8,000.
-        calls = 0
-        left_weight = braid._left_weight
-
-        def counted(a, b):
-            nonlocal calls
-            calls += 1
-            return left_weight(a, b)
-
-        monkeypatch.setattr(braid, "_left_weight", counted)
-        per_letter = []
-        for length in (2000, 8000):
-            calls = 0
-            normal_form(random_word(random.Random(length), 4, length))
-            per_letter.append(calls / length)
+        per_letter = left_weight_calls_per_letter(monkeypatch, 4,
+                                                  (2000, 8000))
         assert per_letter[1] < 1.25 * per_letter[0], per_letter
+
+    def test_left_weight_calls_per_letter_stay_flat_in_b24(self,
+                                                           monkeypatch):
+        # Wide simple factors: these words make about 5.8 calls per letter
+        # at 1,000 letters and 6.9 at 4,000; a pass quadratic in the number
+        # of factors would multiply the ratio several times.
+        per_letter = left_weight_calls_per_letter(monkeypatch, 24,
+                                                  (1000, 4000))
+        assert per_letter[1] < 1.5 * per_letter[0], per_letter
+
+
+def left_weight_calls_per_letter(monkeypatch, n, lengths):
+    """Calls to braid._left_weight per input letter while normal_form
+    reads a seeded mixed-sign word in B_n of each length."""
+    calls = 0
+    left_weight = braid._left_weight
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return left_weight(a, b)
+
+    monkeypatch.setattr(braid, "_left_weight", counted)
+    per_letter = []
+    for length in lengths:
+        calls = 0
+        normal_form(random_word(random.Random(length), n, length))
+        per_letter.append(calls / length)
+    return per_letter
 
 
 def descents(p):

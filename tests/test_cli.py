@@ -402,6 +402,18 @@ class TestCLI:
         code, _, err = run([a.format(f=f) for a in command], capsys)
         assert code == 1 and "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("token", ["rhoA(1,5; c1)", "rhoA(2,1; c1)",
+                                       "rhoA(3,3; c1)", "sub(c1; F5)",
+                                       "sub(c1; F0)", "M(0)", "M(7)"])
+    def test_swap_index_out_of_range_is_a_parse_error(self, tmp_path, capsys,
+                                                      token):
+        f = tmp_path / "w.swap"
+        f.write_text(f"@swap l=0\nMb {token}\n")
+        code, _, err = run(["verify", str(f), str(f), "--tier", "homology"],
+                           capsys)
+        assert code == 1 and err.startswith("parse error: 2:4: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("text", [
         "@braid n=3\nb1^{k}",
         "@framed n=4\nM(2)^{k}",

@@ -1,10 +1,13 @@
 import copy
+import importlib
 import pickle
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import swapfact
 from swapfact.braid import BraidWord
 from swapfact.constructions import (PositiveFactorization,
                                     boundary_multitwist_factorization,
@@ -16,7 +19,7 @@ from swapfact.surface import (DerivedCurve, HomologyCalculator, NamedCurve,
                               TwistWord, UnknownCurve, chain_curve,
                               identity_matrix, twist)
 from swapfact.swaps import rho
-from swapfact.words import compose
+from swapfact.words import Value, Word, compose
 
 from homology_oracle import ClassResolver, mat_mul
 
@@ -334,6 +337,30 @@ def test_words_copy_and_pickle(name):
                  pickle.loads(pickle.dumps(x))):
         assert type(twin) is type(x) and twin == x
         assert hash(twin) == hash(x)
+    if isinstance(x, Word):
+        letters = x.letters
+        for attr in ("context", "letters"):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, None)
+            with pytest.raises(AttributeError):
+                delattr(x, attr)
+        assert x.letters == letters and x == copy.copy(x)
+
+
+def test_only_value_writes_the_record_protocol():
+    """words.Value is the one copy of the immutable-record protocol: no
+    other class of the package defines its refusing or rebuilding methods,
+    and no other module writes a slot past __setattr__."""
+    for info in pkgutil.iter_modules(swapfact.__path__):
+        module = importlib.import_module(f"swapfact.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and cls is not Value):
+                for method in ("__setattr__", "__delattr__", "__reduce__"):
+                    assert method not in vars(cls), (cls, method)
+        if info.name != "words":
+            with open(module.__file__, encoding="utf-8") as fh:
+                assert "object.__setattr__" not in fh.read(), module
 
 
 # ---------------------------------------------------------------------------
