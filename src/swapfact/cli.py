@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NamedTuple
 
 from . import __version__
 from .braid import equal, normal_form
@@ -115,12 +116,70 @@ def _cmd_generate(args) -> int:
     return 0 if ok else 2
 
 
-def _report(tier: str, verdict: str, code: int) -> int:
-    """Print the verify report and pass its exit code through."""
-    print(f"schema: {REPORT_SCHEMA}")
-    print(f"tier: {tier}")
-    print(f"verdict: {verdict}")
-    return code
+class Verdict(NamedTuple):
+    """verify's outcome: the tier that decided, its verdict and the exit
+    code.  tier None: the requested tier cannot decide the pair (code 3)
+    or the words do not share a surface (code 1), and verdict is the
+    message for stderr."""
+    tier: str | None
+    verdict: str
+    code: int
+
+
+def _decide(kind: str, a, b, tier: str) -> Verdict:
+    """The verdict on a = b for two words of one kind at the requested
+    tier.  A swap pair is decided as its shadows' framed pair or its
+    expansions' twist pair."""
+    if kind == "braid":
+        if tier not in ("exact", "auto"):
+            return Verdict(None, "braid words support only the exact tier", 3)
+        ok = equal(a, b)
+        return Verdict("exact", "equal" if ok else "refuted", 0 if ok else 2)
+    if kind == "framed":
+        if tier not in ("framed", "exact", "auto"):
+            return Verdict(None, "framed words support only the framed tier",
+                           3)
+        ok = framed_equal(a, b)
+        return Verdict("framed", "equal" if ok else "refuted", 0 if ok else 2)
+    if kind == "swap":
+        if a.layout != b.layout:
+            return Verdict(None, "swap words on different layouts", 1)
+        # the shadow of a subsurface letter is the identity, so the framed
+        # tier decides only pairs without one
+        blind = has_subsurface_letters(a) or has_subsurface_letters(b)
+        if tier == "framed" and blind:
+            return Verdict(None, "tier-insufficient: the framed shadow cannot "
+                           "see subsurface letters (sub, rhoA); use --tier "
+                           "homology", 3)
+        if tier == "framed" or (tier == "auto" and not blind):
+            return _decide("framed", shadow(a), shadow(b), "framed")
+        if tier in ("homology", "auto"):
+            return _decide("twist", expand(a), expand(b), "homology")
+        return Verdict(None, "swap words: use --tier framed or homology", 3)
+    # twist words: only the homological necessary condition is available
+    if tier == "exact":
+        return Verdict(None, "tier-insufficient: the exact mapping class "
+                       "group word problem is out of scope; homology refutes "
+                       "but cannot certify", 3)
+    if tier == "framed":
+        return Verdict(None, "tier-insufficient: twist words have no framed "
+                       "shadow; use --tier homology", 3)
+    # a plain word is read with the layout the other word names
+    surface = a.surface if a.surface.layout is not None else b.surface
+    if {a.surface, b.surface} - {surface, SurfaceModel(surface.genus,
+                                                       surface.boundary)}:
+        return Verdict(None, "twist words on different surfaces or layouts", 1)
+    a, b = (TwistWord(surface, w.letters) for w in (a, b))
+    calc = HomologyCalculator(surface)
+    if not calc.verify_homologically(a, b):
+        return Verdict("homology", "refuted", 2)
+    if _radical_signature(a, calc) != _radical_signature(b, calc):
+        return Verdict("homology", "tier-insufficient (the words differ in "
+                       "twists about radical classes, which homology cannot "
+                       "distinguish; boundary twists act trivially on "
+                       "absolute H_1)", 3)
+    return Verdict("homology", "consistent (a necessary condition only, not "
+                   "a proof of equality)", 0)
 
 
 def _cmd_verify(args) -> int:
@@ -132,76 +191,14 @@ def _cmd_verify(args) -> int:
     if d1.kind != d2.kind:
         print("cannot compare documents of different kinds", file=sys.stderr)
         return 1
-    tier = args.tier
-    if d1.kind == "braid":
-        if tier in ("exact", "auto"):
-            ok = equal(d1.value, d2.value)
-            return _report("exact", "equal" if ok else "refuted",
-                           0 if ok else 2)
-        print("braid words support only the exact tier", file=sys.stderr)
-        return 3
-    if d1.kind == "framed":
-        if tier in ("framed", "exact", "auto"):
-            ok = framed_equal(d1.value, d2.value)
-            return _report("framed", "equal" if ok else "refuted",
-                           0 if ok else 2)
-        print("framed words support only the framed tier", file=sys.stderr)
-        return 3
-    if d1.kind == "swap":
-        layout = d1.value.layout
-        if layout != d2.value.layout:
-            print("swap words on different layouts", file=sys.stderr)
-            return 1
-        # the shadow of a subsurface letter is the identity, so the framed
-        # tier decides only pairs without one
-        blind = has_subsurface_letters(d1.value) or has_subsurface_letters(
-            d2.value)
-        if tier == "framed" and blind:
-            print("tier-insufficient: the framed shadow cannot see "
-                  "subsurface letters (sub, rhoA); use --tier homology",
-                  file=sys.stderr)
-            return 3
-        if tier == "framed" or (tier == "auto" and not blind):
-            ok = framed_equal(shadow(d1.value), shadow(d2.value))
-            return _report("framed", "equal" if ok else "refuted",
-                           0 if ok else 2)
-        if tier in ("homology", "auto"):
-            return _verify_homologically(expand(d1.value), expand(d2.value),
-                                         layout.calculator)
-        print("swap words: use --tier framed or homology", file=sys.stderr)
-        return 3
-    # twist words: only the homological necessary condition is available
-    if tier == "exact":
-        print("tier-insufficient: the exact mapping class group word problem "
-              "is out of scope; homology refutes but cannot certify",
-              file=sys.stderr)
-        return 3
-    if tier == "framed":
-        print("tier-insufficient: twist words have no framed shadow; use "
-              "--tier homology", file=sys.stderr)
-        return 3
-    # a plain word is read with the layout the other word names
-    s1, s2 = d1.value.surface, d2.value.surface
-    surface = s1 if s1.layout is not None else s2
-    if {s1, s2} - {surface, SurfaceModel(surface.genus, surface.boundary)}:
-        print("twist words on different surfaces or layouts",
-              file=sys.stderr)
-        return 1
-    w1, w2 = (TwistWord(surface, d.value.letters) for d in (d1, d2))
-    return _verify_homologically(w1, w2, HomologyCalculator(surface))
-
-
-def _verify_homologically(w1, w2, calc) -> int:
-    """The homology tier's report on two twist words on calc's surface."""
-    if not calc.verify_homologically(w1, w2):
-        return _report("homology", "refuted", 2)
-    if _radical_signature(w1, calc) != _radical_signature(w2, calc):
-        return _report("homology", "tier-insufficient (the words differ in "
-                       "twists about radical classes, which homology cannot "
-                       "distinguish; boundary twists act trivially on "
-                       "absolute H_1)", 3)
-    return _report("homology", "consistent (a necessary condition only, not "
-                   "a proof of equality)", 0)
+    v = _decide(d1.kind, d1.value, d2.value, args.tier)
+    if v.tier is None:
+        print(v.verdict, file=sys.stderr)
+    else:
+        print(f"schema: {REPORT_SCHEMA}")
+        print(f"tier: {v.tier}")
+        print(f"verdict: {v.verdict}")
+    return v.code
 
 
 def _radical_signature(word, calc):

@@ -399,20 +399,17 @@ def extend_to_genus(gtarget: int, base: PositiveFactorization
     if gtarget <= 11:
         raise ValueError("extension needs genus > 11")
     surface = SurfaceModel(gtarget, 2, base.word.surface.layout)
-    small = compose(*[twist(surface, NamedCurve(("chain", k)))
-                      for k in range(1, 24)]).power(24)
     n_big = 2 * gtarget + 1
+    # one object per chain curve, so equal letters compare by identity
+    chain = [NamedCurve(("chain", k)) for k in range(1, n_big + 1)]
+    small = TwistWord(surface, [(c, 1) for c in chain[:23]]).power(24)
     insertions: List[Tuple[int, tuple]] = []
     for block in range(24):
-        pos = 23 * (block + 1)
-        for k in range(24, n_big + 1):
-            insertions.append((pos, (NamedCurve(("chain", k)), 1)))
+        insertions += [(23 * (block + 1), (c, 1)) for c in chain[23:]]
     for block in range(24, 2 * gtarget + 2):
-        for k in range(1, n_big + 1):
-            insertions.append((23 * 24, (NamedCurve(("chain", k)), 1)))
+        insertions += [(23 * 24, (c, 1)) for c in chain]
     tilde, full = insert_equals_append(small, insertions)
-    big = compose(*[twist(surface, NamedCurve(("chain", k)))
-                    for k in range(1, n_big + 1)]).power(2 * gtarget + 2)
+    big = TwistWord(surface, [(c, 1) for c in chain]).power(2 * gtarget + 2)
     if full != big:
         raise AssertionError("chain insertion table does not assemble the "
                              "genus-%d chain word" % gtarget)

@@ -209,18 +209,19 @@ def _parse_framed(params, toks) -> FramedBraid:
     for tok, ln, col in toks:
         base, k = _split_power(tok, ln, col)
         m = _PAIR_TOK.fullmatch(base)
-        if m:
-            fn = delta_framed if m.group(1) == "delta" else rho_framed
-            try:
-                x = fn(int(m.group(2)), int(m.group(3)), n)
-            except ValueError as exc:
-                raise ParseError(str(exc), ln, col) from None
-        elif _M_TOK.fullmatch(base):
-            x = m_framed(int(_M_TOK.fullmatch(base).group(1)), n)
-        elif base == "Mb":
-            x = boundary_multitwist_framed(n)
-        else:
+        mi = _M_TOK.fullmatch(base)
+        if not (m or mi or base == "Mb"):
             raise ParseError(f"unknown framed token {base!r}", ln, col)
+        try:
+            if m:
+                fn = delta_framed if m.group(1) == "delta" else rho_framed
+                x = fn(int(m.group(2)), int(m.group(3)), n)
+            elif mi:
+                x = m_framed(int(mi.group(1)), n)
+            else:
+                x = boundary_multitwist_framed(n)
+        except ValueError as exc:
+            raise ParseError(str(exc), ln, col) from None
         factors.append(fpower(x, k))
     return fcompose(*factors)
 

@@ -57,11 +57,8 @@ def identity_matrix(r: int) -> Matrix:
 
 # The largest layout parameter l an input may name (a DSL header's l=, the
 # CLI's --l).  The boundary family sets it, and the header's genus cap
-# bounds it: 11 + 4l <= 100.  At l = 22 (632 letters, a 3.2 MB artifact)
-# `generate boundary`, `generate phi`, `invariants` and `verify` of the
-# artifact against itself took 6.9 s, 6.7 s, 5.0 s and 7.3 s on a shared
-# 2-vCPU host (medians of three fresh CLI processes); `verify` parses the
-# artifact twice, 2.2 s each, and resolves its classes once, 1.5 s.
+# bounds it: 11 + 4l <= 100.  README's CLI section gives the time of each
+# command at l = 22 (632 letters, a 3.2 MB artifact).
 MAX_LAYOUT = 22
 
 

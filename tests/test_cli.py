@@ -414,6 +414,52 @@ class TestCLI:
         assert code == 1 and err.startswith("parse error: 2:4: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["@framed n=4\nMb M(7)",
+                                      "@framed n=4\nMb M(0)",
+                                      "@framed n=1\nMb"])
+    def test_framed_index_out_of_range_is_a_parse_error(self, tmp_path,
+                                                        capsys, text):
+        f = tmp_path / "w.framed"
+        f.write_text(text + "\n")
+        code, _, err = run(["verify", str(f), str(f)], capsys)
+        assert code == 1 and err.startswith("parse error: 2:")
+        assert "Traceback" not in err
+
+    # per pair, (exit code, deciding tier or None) at the tiers exact,
+    # framed, homology and auto; tier None: a refusal, with no report
+    @pytest.mark.parametrize("texts,outcomes", [
+        (("@braid n=4\nb1 b2 b1", "@braid n=4\nb2 b1 b2"),
+         [(0, "exact"), (3, None), (3, None), (0, "exact")]),
+        (("@framed\nrho(1,3) Mb",
+          "@framed\nrho(1,2)^-1 rho(2,3) rho(1,2) Mb"),
+         [(0, "framed"), (0, "framed"), (3, None), (0, "framed")]),
+        # Phi, and Phi with its last two letters exchanged
+        (("@swap l=0\nrho(2,4) rho(1,3) rho(3,4) rho(2,3) rho(1,2)",
+          "@swap l=0\nrho(2,4) rho(1,3) rho(3,4) rho(1,2) rho(2,3)"),
+         [(3, None), (2, "framed"), (2, "homology"), (2, "framed")]),
+        (("@swap l=0\nrhoA(1,2; c1)", "@swap l=0\nrho(1,2)"),
+         [(3, None), (3, None), (2, "homology"), (2, "homology")]),
+        (("@twist g=2 s=2\nc1 c2", "@twist g=2 s=2\nc2 c1"),
+         [(3, None), (3, None), (2, "homology"), (2, "homology")]),
+    ])
+    @pytest.mark.parametrize("k,tier", enumerate(["exact", "framed",
+                                                  "homology", "auto"]))
+    def test_verify_contract(self, tmp_path, capsys, texts, outcomes, k,
+                             tier):
+        files = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        for f, text in zip(files, texts):
+            f.write_text(text + "\n")
+        code, out, err = run(["verify", *map(str, files), "--tier", tier],
+                             capsys)
+        want_code, want_tier = outcomes[k]
+        assert code == want_code
+        if want_tier is None:
+            assert out == "" and err
+        else:
+            assert out.splitlines()[:2] == ["schema: 1",
+                                            f"tier: {want_tier}"]
+            assert err == ""
+
     @pytest.mark.parametrize("text", [
         "@braid n=3\nb1^{k}",
         "@framed n=4\nM(2)^{k}",

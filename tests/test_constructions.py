@@ -262,6 +262,20 @@ class TestExtendToGenus:
         with pytest.raises(ValueError):
             extend_to_genus(11, base)
 
+    def test_chain_curves_are_built_once(self):
+        # equal letters that are one object compare and hash by identity
+        base = boundary_multitwist_factorization(0)
+        ext = extend_to_genus(14, base)
+        curves = []
+        for curve, _ in ext.word.letters[:-len(base.word)]:
+            if isinstance(curve, DerivedCurve):
+                curves += [c for c, _ in curve.conjugator.letters]
+                curve = curve.base
+            curves.append(curve)
+        assert all(isinstance(c, NamedCurve) for c in curves)
+        assert len({c.tag for c in curves}) == 29
+        assert len({id(c) for c in curves}) == 29
+
 
 class TestPositiveFactorizationType:
     def test_rejects_negative_letters(self, genus2):
