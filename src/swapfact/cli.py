@@ -44,9 +44,25 @@ REPORT_SCHEMA = 1
 MAX_GENUS = MAX_HEADER
 
 
+class Refusal(Exception):
+    """A command declines its input: main writes the message on stderr and
+    exits with the code.  Not a ValueError: main reports those as errors."""
+    def __init__(self, message: str, code: int = 1):
+        super().__init__(message)
+        self.code = code
+
+
 def _read(path: str, conjugators: dict | None = None) -> Document:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read(), conjugators)
+
+
+def _read_value(args, kind: str):
+    """The value of the document args.file, which must be of the kind."""
+    doc = _read(args.file)
+    if doc.kind != kind:
+        raise Refusal(f"{args.command} expects a @{kind} file")
+    return doc.value
 
 
 def _write(path: str, doc: Document) -> None:
@@ -54,40 +70,26 @@ def _write(path: str, doc: Document) -> None:
         fh.write(print_document(doc))
 
 
-def _cmd_nf(args) -> int:
-    doc = _read(args.file)
-    if doc.kind != "braid":
-        print("nf expects a @braid file", file=sys.stderr)
-        return 1
-    nf = normal_form(doc.value)
-    print(f"schema: {REPORT_SCHEMA}")
-    print(f"strands: {nf.strands}")
-    print(f"infimum: {nf.infimum}")
-    print(f"canonical_length: {nf.canonical_length()}")
-    for k, f in enumerate(nf.factors, start=1):
-        print(f"factor_{k}: {' '.join(str(x + 1) for x in f)}")
-    return 0
+def _cmd_nf(args):
+    nf = normal_form(_read_value(args, "braid"))
+    return 0, [("strands", nf.strands), ("infimum", nf.infimum),
+               ("canonical_length", nf.canonical_length()),
+               *((f"factor_{k}", " ".join(str(x + 1) for x in f))
+                 for k, f in enumerate(nf.factors, start=1))]
 
 
-def _cmd_lift(args) -> int:
-    doc = _read(args.file)
-    if doc.kind != "braid":
-        print("lift expects a @braid file", file=sys.stderr)
-        return 1
-    lifted = branched_lift(doc.value)
+def _cmd_lift(args):
+    lifted = branched_lift(_read_value(args, "braid"))
     _write(args.output, Document("twist", lifted))
-    return 0
+    return 0, None
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args):
     if args.l and args.family in ("extend", "commutator"):
-        print(f"--l applies to phi and boundary, not to {args.family}",
-              file=sys.stderr)
-        return 1
+        raise Refusal("--l applies to phi and boundary, not to "
+                      f"{args.family}")
     if args.genus is not None and args.family != "extend":
-        print(f"--genus applies to extend, not to {args.family}",
-              file=sys.stderr)
-        return 1
+        raise Refusal(f"--genus applies to extend, not to {args.family}")
     target, verdict = None, "verified"      # target None: the identity
     if args.family == "commutator":
         lhs, rhs = commutator_relation(args.m, seed=args.seed)
@@ -109,19 +111,13 @@ def _cmd_generate(args) -> int:
     ok = (calc.is_identity_action(word) if target is None
           else calc.verify_homologically(word, target))
     _write(args.output, Document("twist", word))
-    print(f"schema: {REPORT_SCHEMA}")
-    print(f"family: {family}")
-    print(f"letters: {len(word)}")
-    print(f"{verdict}: {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 2
+    return (0 if ok else 2), [("family", family), ("letters", len(word)),
+                              (verdict, "pass" if ok else "FAIL")]
 
 
 class Verdict(NamedTuple):
-    """verify's outcome: the tier that decided, its verdict and the exit
-    code.  tier None: the requested tier cannot decide the pair (code 3)
-    or the words do not share a surface (code 1), and verdict is the
-    message for stderr."""
-    tier: str | None
+    """verify's outcome: the deciding tier, its verdict and exit code."""
+    tier: str
     verdict: str
     code: int
 
@@ -129,46 +125,46 @@ class Verdict(NamedTuple):
 def _decide(kind: str, a, b, tier: str) -> Verdict:
     """The verdict on a = b for two words of one kind at the requested
     tier.  A swap pair is decided as its shadows' framed pair or its
-    expansions' twist pair."""
+    expansions' twist pair.  Refusal code 3: the tier cannot decide the
+    pair; code 1: the words share no surface."""
     if kind == "braid":
         if tier not in ("exact", "auto"):
-            return Verdict(None, "braid words support only the exact tier", 3)
+            raise Refusal("braid words support only the exact tier", 3)
         ok = equal(a, b)
         return Verdict("exact", "equal" if ok else "refuted", 0 if ok else 2)
     if kind == "framed":
         if tier not in ("framed", "exact", "auto"):
-            return Verdict(None, "framed words support only the framed tier",
-                           3)
+            raise Refusal("framed words support only the framed tier", 3)
         ok = framed_equal(a, b)
         return Verdict("framed", "equal" if ok else "refuted", 0 if ok else 2)
     if kind == "swap":
         if a.layout != b.layout:
-            return Verdict(None, "swap words on different layouts", 1)
+            raise Refusal("swap words on different layouts")
         # the shadow of a subsurface letter is the identity, so the framed
         # tier decides only pairs without one
         blind = has_subsurface_letters(a) or has_subsurface_letters(b)
         if tier == "framed" and blind:
-            return Verdict(None, "tier-insufficient: the framed shadow cannot "
-                           "see subsurface letters (sub, rhoA); use --tier "
-                           "homology", 3)
+            raise Refusal("tier-insufficient: the framed shadow cannot see "
+                          "subsurface letters (sub, rhoA); use --tier "
+                          "homology", 3)
         if tier == "framed" or (tier == "auto" and not blind):
             return _decide("framed", shadow(a), shadow(b), "framed")
         if tier in ("homology", "auto"):
             return _decide("twist", expand(a), expand(b), "homology")
-        return Verdict(None, "swap words: use --tier framed or homology", 3)
+        raise Refusal("swap words: use --tier framed or homology", 3)
     # twist words: only the homological necessary condition is available
     if tier == "exact":
-        return Verdict(None, "tier-insufficient: the exact mapping class "
-                       "group word problem is out of scope; homology refutes "
-                       "but cannot certify", 3)
+        raise Refusal("tier-insufficient: the exact mapping class group word "
+                      "problem is out of scope; homology refutes but cannot "
+                      "certify", 3)
     if tier == "framed":
-        return Verdict(None, "tier-insufficient: twist words have no framed "
-                       "shadow; use --tier homology", 3)
+        raise Refusal("tier-insufficient: twist words have no framed shadow; "
+                      "use --tier homology", 3)
     # a plain word is read with the layout the other word names
     surface = a.surface if a.surface.layout is not None else b.surface
     if {a.surface, b.surface} - {surface, SurfaceModel(surface.genus,
                                                        surface.boundary)}:
-        return Verdict(None, "twist words on different surfaces or layouts", 1)
+        raise Refusal("twist words on different surfaces or layouts")
     a, b = (TwistWord(surface, w.letters) for w in (a, b))
     calc = HomologyCalculator(surface)
     if not calc.verify_homologically(a, b):
@@ -182,23 +178,15 @@ def _decide(kind: str, a, b, tier: str) -> Verdict:
                    "a proof of equality)", 0)
 
 
-def _cmd_verify(args) -> int:
-    # one conjugator memo for both files: the class memo then finds their
-    # equal conjugators by identity instead of comparing them letter by
-    # letter
+def _cmd_verify(args):
+    # one conjugator memo for both files, so the class memo finds their
+    # equal conjugators by identity instead of letter by letter
     conjugators: dict = {}
     d1, d2 = (_read(path, conjugators) for path in (args.file1, args.file2))
     if d1.kind != d2.kind:
-        print("cannot compare documents of different kinds", file=sys.stderr)
-        return 1
+        raise Refusal("cannot compare documents of different kinds")
     v = _decide(d1.kind, d1.value, d2.value, args.tier)
-    if v.tier is None:
-        print(v.verdict, file=sys.stderr)
-    else:
-        print(f"schema: {REPORT_SCHEMA}")
-        print(f"tier: {v.tier}")
-        print(f"verdict: {v.verdict}")
-    return v.code
+    return v.code, [("tier", v.tier), ("verdict", v.verdict)]
 
 
 def _radical_signature(word, calc):
@@ -209,30 +197,20 @@ def _radical_signature(word, calc):
                if not calc.sparse(calc.curve_class(curve))[1])
 
 
-def _cmd_invariants(args) -> int:
-    doc = _read(args.file)
-    if doc.kind != "twist":
-        print("invariants expects a @twist file", file=sys.stderr)
-        return 1
-    word = doc.value
+def _cmd_invariants(args):
+    word = _read_value(args, "twist")
     if not word.is_positive():
-        print("invariants expects an all-positive factorization",
-              file=sys.stderr)
-        return 1
+        raise Refusal("invariants expects an all-positive factorization")
     fact = PositiveFactorization(word, None, "input file",
                                  ("input",) * len(word))
     inv = fibration_invariants(fact, HomologyCalculator(word.surface))
-    print(f"schema: {REPORT_SCHEMA}")
-    print(f"genus: {inv.genus}")
-    print(f"n_cycles: {inv.n_cycles}")
-    print(f"euler_closed: {inv.euler_closed}")
-    print(f"euler_filling: {inv.euler_filling}")
-    print(f"b1: {inv.b1}")
-    print(f"torsion: {','.join(map(str, inv.torsion)) or 'none'}")
-    print(f"endo_sigma_num: {inv.endo_sigma.numerator}")
-    print(f"endo_sigma_den: {inv.endo_sigma.denominator}")
-    print(f"hyperelliptic_verdict: {inv.hyperelliptic_verdict}")
-    return 0
+    return 0, [("genus", inv.genus), ("n_cycles", inv.n_cycles),
+               ("euler_closed", inv.euler_closed),
+               ("euler_filling", inv.euler_filling), ("b1", inv.b1),
+               ("torsion", ",".join(map(str, inv.torsion)) or "none"),
+               ("endo_sigma_num", inv.endo_sigma.numerator),
+               ("endo_sigma_den", inv.endo_sigma.denominator),
+               ("hyperelliptic_verdict", inv.hyperelliptic_verdict)]
 
 
 def _at_most(cap: int):
@@ -293,14 +271,24 @@ def main(argv=None) -> int:
         args = top.parse_args(argv)
     except SystemExit as exc:   # usage errors exit 1, --help and --version 0
         return 1 if exc.code else 0
+    # a command returns its exit code and report, the (key, value) pairs
+    # that follow the schema line, or None for no report
     try:
-        return args.func(args)
+        code, report = args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    except Refusal as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except (OSError, ValueError, UnknownCurve) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if report is not None:
+        print(f"schema: {REPORT_SCHEMA}")
+        for key, value in report:
+            print(f"{key}: {value}")
+    return code
 
 
 if __name__ == "__main__":

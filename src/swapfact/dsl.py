@@ -94,26 +94,22 @@ _HEADER_CAPS = {"n": MAX_HEADER, "g": MAX_HEADER, "l": MAX_LAYOUT}
 _HEADER_PARAM = re.compile(r"(\w+)=(-?\d+)")
 
 
-# A line and the boundary that ends it, for every boundary str.splitlines
-# recognises.  At the end of the text it matches the empty string.
-_LINE = re.compile(r"([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)"
-                   r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])?")
-
-
-def _lines(text: str):
-    """Yield the lines text.splitlines() gives, one at a time, so no second
-    copy of the whole document is held."""
-    for m in _LINE.finditer(text):
-        if m.end() > m.start():
-            yield m.group(1)
+# A token, a comment or one line boundary, for every boundary
+# str.splitlines recognises; the whitespace between them is skipped.
+_LINE_END = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+_LEXEME = re.compile(rf"([^\s#]+)|#[^{_LINE_END}]*|(\r\n|[{_LINE_END}])")
 
 
 def _tokenize(text: str):
-    """Yield (token, line, column) skipping comments."""
-    for ln, line in enumerate(_lines(text), start=1):
-        body = line.split("#", 1)[0]
-        for m in _TOKEN.finditer(body):
-            yield m.group(0), ln, m.start() + 1
+    """Yield (token, line, column) skipping comments, in one pass over the
+    text, so no copy of its lines is held."""
+    line, start = 1, 0
+    for m in _LEXEME.finditer(text):
+        token, end = m.groups()
+        if token:
+            yield token, line, m.start() - start + 1
+        elif end:
+            line, start = line + 1, m.end()
 
 
 def _exponent(exp: str | None, line: int, col: int) -> int:

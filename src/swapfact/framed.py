@@ -32,12 +32,6 @@ class FramedBraid(Value):
     def strands(self) -> int:
         return self.underlying.strands
 
-    def __mul__(self, other: "FramedBraid") -> "FramedBraid":
-        return fcompose(self, other)
-
-    def inverse(self) -> "FramedBraid":
-        return finverse(self)
-
 
 def framed_identity(n: int) -> FramedBraid:
     return FramedBraid(BraidWord(n), (0,) * n)

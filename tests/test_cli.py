@@ -126,8 +126,10 @@ class TestDSL:
     _LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
                   "\x85", "\u2028", "\u2029"]
 
+    # \x1f and \xa0 are whitespace that ends no line
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(st.sampled_from(_LINE_ENDS + ["b1", "x", " ", "\t", "#"]),
+    @given(st.lists(st.sampled_from(_LINE_ENDS + ["b1", "x", " ", "\t", "#",
+                                                  "\x1f", "\xa0"]),
                     max_size=20))
     def test_tokens_keep_their_splitlines_positions(self, pieces):
         text = "".join(pieces)
@@ -459,6 +461,82 @@ class TestCLI:
             assert out.splitlines()[:2] == ["schema: 1",
                                             f"tier: {want_tier}"]
             assert err == ""
+
+    _FILES = {"braid": "@braid n=4\nb1 b2 b1",
+              "braid2": "@braid n=4\nb2 b1 b2",
+              "framed": "@framed\nrho(1,3) Mb",
+              "swap": "@swap l=0\nrho(1,2)", "swap1": "@swap l=1\nrho(1,2)",
+              "rhoA": "@swap l=0\nrhoA(1,2; c1)",
+              "twist": "@twist g=2 s=2\nc1 c2", "twist3": "@twist g=3 s=2\nc1",
+              "negative": "@twist g=2 s=2\nc1 c2^-1",
+              "multitwist": "@twist g=11 s=2\ndelta1 delta2",
+              "empty": "@twist g=11 s=2"}
+    _TIER_INSUFFICIENT = (
+        "tier-insufficient (the words differ in twists about radical classes, "
+        "which homology cannot distinguish; boundary twists act trivially on "
+        "absolute H_1)")
+
+    # (argv, exit code, stdout, stderr) as main writes them; an argv word
+    # *.txt reads that one of _FILES, and "out" is the output path
+    _MAIN_CASES = [
+        (["nf", "twist.txt"], 1, "", "nf expects a @braid file\n"),
+        (["lift", "framed.txt", "-o", "out"], 1, "",
+         "lift expects a @braid file\n"),
+        (["invariants", "braid.txt"], 1, "",
+         "invariants expects a @twist file\n"),
+        (["invariants", "negative.txt"], 1, "",
+         "invariants expects an all-positive factorization\n"),
+        (["generate", "extend", "--l", "2", "-o", "out"], 1, "",
+         "--l applies to phi and boundary, not to extend\n"),
+        (["generate", "phi", "--genus", "20", "-o", "out"], 1, "",
+         "--genus applies to extend, not to phi\n"),
+        (["verify", "braid.txt", "framed.txt"], 1, "",
+         "cannot compare documents of different kinds\n"),
+        (["verify", "braid.txt", "braid2.txt", "--tier", "homology"], 3, "",
+         "braid words support only the exact tier\n"),
+        (["verify", "framed.txt", "framed.txt", "--tier", "homology"], 3, "",
+         "framed words support only the framed tier\n"),
+        (["verify", "swap.txt", "swap1.txt"], 1, "",
+         "swap words on different layouts\n"),
+        (["verify", "rhoA.txt", "swap.txt", "--tier", "framed"], 3, "",
+         "tier-insufficient: the framed shadow cannot see subsurface letters "
+         "(sub, rhoA); use --tier homology\n"),
+        (["verify", "swap.txt", "swap.txt", "--tier", "exact"], 3, "",
+         "swap words: use --tier framed or homology\n"),
+        (["verify", "twist.txt", "twist.txt", "--tier", "exact"], 3, "",
+         "tier-insufficient: the exact mapping class group word problem is "
+         "out of scope; homology refutes but cannot certify\n"),
+        (["verify", "twist.txt", "twist.txt", "--tier", "framed"], 3, "",
+         "tier-insufficient: twist words have no framed shadow; use --tier "
+         "homology\n"),
+        (["verify", "twist.txt", "twist3.txt", "--tier", "homology"], 1, "",
+         "twist words on different surfaces or layouts\n"),
+        (["nf", "braid.txt"], 0, "schema: 1\nstrands: 4\ninfimum: 0\n"
+         "canonical_length: 1\nfactor_1: 3 2 1 4\n", ""),
+        (["generate", "boundary", "-o", "out"], 0, "schema: 1\nfamily: "
+         "boundary multitwist (m=0, l=0)\nletters: 104\nverified: pass\n", ""),
+        (["verify", "braid.txt", "braid2.txt"], 0,
+         "schema: 1\ntier: exact\nverdict: equal\n", ""),
+        # the one exit-3 outcome that is a report, not a refusal
+        (["verify", "multitwist.txt", "empty.txt", "--tier", "homology"], 3,
+         f"schema: 1\ntier: homology\nverdict: {_TIER_INSUFFICIENT}\n", ""),
+        (["invariants", "twist.txt"], 0, "schema: 1\ngenus: 2\nn_cycles: 2\n"
+         "euler_closed: -2\neuler_filling: -2\nb1: 2\ntorsion: none\n"
+         "endo_sigma_num: -6\nendo_sigma_den: 5\n"
+         "hyperelliptic_verdict: NotHyperelliptic\n", ""),
+    ]
+
+    @pytest.mark.parametrize("argv,code,out,err", _MAIN_CASES,
+                             ids=["-".join(case[0]) for case in _MAIN_CASES])
+    def test_main_writes_reports_and_refusals(self, tmp_path, capsys, argv,
+                                              code, out, err):
+        for name, text in self._FILES.items():
+            (tmp_path / f"{name}.txt").write_text(text + "\n")
+        argv = [str(tmp_path / a) if a.endswith(".txt") or a == "out" else a
+                for a in argv]
+        assert run(argv, capsys) == (code, out, err)
+        if code == 1:
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [
         "@braid n=3\nb1^{k}",
