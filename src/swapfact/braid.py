@@ -112,8 +112,8 @@ def full_twist(n: int) -> BraidWord:
     return compose(d, d)
 
 
-def band(i: int, j: int, conjugator: BraidWord) -> BraidWord:
-    """The band w b_i w^-1; (i, j) records which marked points it joins."""
+def band(i: int, conjugator: BraidWord) -> BraidWord:
+    """The band w b_i w^-1."""
     if not 1 <= i < conjugator.strands:
         raise ValueError(f"band generator b{i} does not fit in "
                          f"B_{conjugator.strands}")

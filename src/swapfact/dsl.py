@@ -1,7 +1,7 @@
 """The word DSL: parsing and printing of braid, framed, twist, and swap
 words.
 
-A document is a header line followed by whitespace-separated tokens:
+A document is a header line followed by tokens:
 
     @braid n=6              b1 b2^-1 b3^2
     @framed n=4             delta(1,2) rho(2,3)^-1 Mb M(2)
@@ -16,11 +16,14 @@ curves c(i,k), d(i,k), bd(Fi) the word may use and no l= means the plain
 chain surface; l= (default 0) for @swap.  Other keys are errors.  n= and
 g= are at most MAX_HEADER, l= at most surface.MAX_LAYOUT.
 
-`#` starts a comment running to the end of the line.  Tokens accept `^k`
-and `^-k` suffixes with |k| <= MAX_POWER, and parentheses nest at most
-MAX_NESTING deep.  Printing is canonical (single spaces, no comments) and
-parse(print(d)) == d.  Composition is right to left: the rightmost token
-acts first, annotated in printed headers to prevent convention drift.
+`#` starts a comment running to the end of the line.  Whitespace separates
+tokens, and a group's opener (img(, sub(, rhoA(i,j;), each ; and each )
+is a token of its own, so whitespace around them is optional.  Tokens
+accept `^k` and `^-k` suffixes with |k| <= MAX_POWER, a group's ) too,
+and groups nest at most MAX_NESTING deep.  Printing is canonical (single
+spaces, no comments) and parse(print(d)) == d.  Composition is right to
+left: the rightmost token acts first, annotated in printed headers to
+prevent convention drift.
 
 A @twist body may name a conjugator and use the name in its place:
 
@@ -68,8 +71,6 @@ class Document(NamedTuple):
     value: object              # BraidWord | FramedBraid | TwistWord | SwapWord
 
 
-_TOKEN = re.compile(r"\S+")
-
 # The largest |k| a ^k suffix may carry.  Powers are expanded into letters
 # while parsing, so the cap bounds the memory one token can ask for.
 MAX_POWER = 1000
@@ -79,15 +80,13 @@ MAX_POWER = 1000
 # bounds that memory.
 MAX_HEADER = 100
 
-# The deepest parenthesis nesting a token group may have, counted paren by
-# paren, within tokens too.  The body of each img(...) is parsed by a
-# recursive call that reads its own copy of the body's text.  A body is
-# reached only after the tokens before it parsed, and those balance, so each
-# level of recursion sits one parenthesis deeper in the outermost group: the
-# cap bounds the parser's stack depth and its memory.  A letter whose
-# conjugator is named is counted as the definition written out in place;
-# the class of a derived curve is resolved by a recursion that deep.
+# The deepest parenthesis nesting a letter may have: each group counts one
+# level, as does the (...) of a curve token such as c(2,4), and a named
+# conjugator counts as its definition written out in place.  The cap is
+# checked before each descent into a group's body, so it bounds the stack
+# depth of the parser and of the resolution of a derived curve's class.
 MAX_NESTING = 100
+_TOO_DEEP = f"parentheses nest deeper than the cap {MAX_NESTING}"
 
 # The caps on header values; the keys each kind takes are in _KINDS.
 _HEADER_CAPS = {"n": MAX_HEADER, "g": MAX_HEADER, "l": MAX_LAYOUT}
@@ -95,9 +94,16 @@ _HEADER_PARAM = re.compile(r"(\w+)=(-?\d+)")
 
 
 # A token, a comment or one line boundary, for every boundary
-# str.splitlines recognises; the whitespace between them is skipped.
+# str.splitlines recognises; the whitespace between them is skipped.  A
+# token is a group opener (img(, sub( or rhoA(i,j;), a ;, a ) with its ^k,
+# a stray (, or a run of other characters with at most one (...) in it,
+# such as c(2,4), bd(F3,2) or rho(1,2)^-1.
 _LINE_END = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
-_LEXEME = re.compile(rf"([^\s#]+)|#[^{_LINE_END}]*|(\r\n|[{_LINE_END}])")
+_PLAIN = r"[^\s#();]"
+_LEXEME = re.compile(
+    rf"(img\(|sub\(|rhoA\({_PLAIN}*;|[;(]|\)(?:\^{_PLAIN}*)?"
+    rf"|{_PLAIN}+(?:\({_PLAIN}*\){_PLAIN}*)?)"
+    rf"|#[^{_LINE_END}]*|(\r\n|[{_LINE_END}])")
 
 
 def _tokenize(text: str):
@@ -262,13 +268,6 @@ _SPELLING_OF_TAG = {tag: sp for sp, tag in _CURVE_SPELLINGS.items()}
 _NUMBERS = re.compile(r"(\d+)")
 
 
-def _curve_of_token(base: str, ln: int, col: int) -> NamedCurve:
-    curve = _named_curve(base)
-    if curve is None:
-        raise ParseError(f"unknown curve token {base!r}", ln, col)
-    return curve
-
-
 @functools.lru_cache(maxsize=1024)   # words repeat a few hundred tokens
 def _named_curve(base: str) -> NamedCurve | None:
     """The curve the token spells, None when it spells none."""
@@ -281,115 +280,98 @@ def _named_curve(base: str) -> NamedCurve | None:
                             for x in template))
 
 
-def _groups(toks, openers):
-    """Yield each (token, line, column) as it is, except that a token
-    starting with one of openers is joined by single spaces with the tokens
-    after it, up to the one that balances its parentheses."""
-    toks = iter(toks)
-    for tok, ln, col in toks:
-        if tok.startswith(openers):
-            parts, depth = [], 0
-            for t, _, _ in itertools.chain([(tok, ln, col)], toks):
-                parts.append(t)
-                opens = t.count("(")
-                # t reaches at most opens deeper; only then count paren by
-                # paren
-                if depth + opens > MAX_NESTING \
-                        and depth + _deepest(t) > MAX_NESTING:
-                    raise ParseError(f"parentheses nest deeper than the cap "
-                                     f"{MAX_NESTING}", ln, col)
-                depth += opens - t.count(")")
-                if depth == 0:
-                    break
-            else:
-                raise ParseError("unbalanced parentheses", ln, col)
-            tok = " ".join(parts)
-        yield tok, ln, col
+def _take(toks, ln: int, col: int):
+    """The next token of the group opened at ln:col."""
+    for t in toks:
+        return t
+    raise ParseError("unbalanced parentheses", ln, col)
 
 
-def _deepest(t: str) -> int:
-    """How many parentheses deep t reaches, read left to right."""
-    return max(itertools.accumulate((c == "(") - (c == ")")
-                                    for c in t if c in "()"), default=0)
+def _close(toks, what: str, ln: int, col: int) -> int:
+    """The k of the )^k that ends the group opened at ln:col."""
+    tok, l, c = _take(toks, ln, col)
+    base, k = _split_power(tok, l, c)
+    if base != ")":
+        raise ParseError(f"malformed {what}", l, c)
+    return k
 
 
-def _body(text: str, ln: int, col: int):
-    """The grouped tokens of a twist word written in a group's body, each
-    at the group's position."""
-    return _groups(((m.group(0), ln, col) for m in _TOKEN.finditer(text)),
-                   ("img(",))
-
-
-# A conjugator's name, and an img(<conjugator>; <curve>) letter.
+# A conjugator's name.
 _NAME = re.compile(r"V\d+")
-_IMG = re.compile(r"img\((.*);(.*)\)(?:\^(-?\d+))?")
 
 
-def _parse_twist_tokens(surface: SurfaceModel, groups, words: dict,
-                        names: dict, top: bool = False
-                        ) -> Tuple[TwistWord, int]:
-    """The word the grouped tokens spell and how deep its img(...) letters
-    nest, counted as MAX_NESTING counts parentheses: a named conjugator
-    counts as its definition written out in place.  The class resolution
-    recurses that deep.
+def _twist_word(surface: SurfaceModel, toks, words: dict, names: dict,
+                level: int, end: str | None = None, first=(), eof=None):
+    """Read a twist word from first, then toks, up to its end token and
+    return the word, how deep its letters nest and the k of the end token.
+    end is ; or ) for the body of a group, which level groups enclose, and
+    None at the top level, which runs to the end of the text and alone may
+    define names.  eof is the (message, line, column) of the error to raise
+    when the text ends before the end token.
 
-    words interns the conjugators read so far by value: equal conjugators
-    become one object, which the class memo finds fast.  names maps each
-    name defined so far, and each conjugator written out in an img(...)
-    letter so far, to its word and depth.  Only the top level (top) may
-    define a name."""
+    A letter nests as deep as its parentheses; a named conjugator counts as
+    its definition written out in place.  The class resolution recurses
+    that deep.  words interns the conjugators read so far by value: equal
+    conjugators become one object, which the class memo finds fast.  names
+    maps each name defined so far to its word and depth."""
     letters, depth = [], 0
-    for tok, ln, col in groups:
-        if tok.startswith("img("):
-            m = _IMG.fullmatch(tok)
-            if not m:
-                raise ParseError("malformed img(...) token", ln, col)
-            body = m.group(1).strip()
-            known = names.get(body)
-            if known is None:
-                if _NAME.fullmatch(body):
-                    raise ParseError(f"{body} is not defined before its use",
-                                     ln, col)
-                inner, d = _parse_twist_tokens(
-                    surface, _body(body, ln, col), words, names)
-                known = names[body] = words.setdefault(inner, inner), d
-            inner, d = known
-            base = m.group(2).strip()
-            d = 1 + max(d, "(" in base)
-            if d > MAX_NESTING:
-                raise ParseError(f"img(...) letters nest deeper than the cap "
-                                 f"{MAX_NESTING}, through definitions", ln, col)
-            curve = DerivedCurve(_curve_of_token(base, ln, col), inner)
-            k = _exponent(m.group(3), ln, col)
+    for tok, ln, col in itertools.chain(first, toks):
+        base, k = _split_power(tok, ln, col)
+        curve = _named_curve(base)
+        if curve is not None:
+            d = "(" in base
+        elif base == end:
+            return TwistWord(surface, letters), depth, k
+        elif tok == "img(":
+            if level == MAX_NESTING:
+                raise ParseError(_TOO_DEEP, ln, col)
+            v, d = _conjugator(surface, toks, words, names, level + 1, ln,
+                               col)
+            base, bl, bc = _take(toks, ln, col)
+            curve = _named_curve(base)
+            if curve is None:
+                raise ParseError(f"unknown curve token {base!r}", bl, bc)
+            curve, d = DerivedCurve(curve, v), 1 + max(d, "(" in base)
+            k = _close(toks, "img(...) token", ln, col)
         elif _NAME.fullmatch(tok):
-            if not top:
+            if end is not None:
                 raise ParseError(f"{tok} stands alone: a name is defined at "
                                  f"the top level and used as img({tok}; "
                                  f"<curve>)", ln, col)
-            if next(groups, ("",))[0] != "=":
+            if next(toks, ("",))[0] != "=":
                 raise ParseError(f"{tok} is not followed by =", ln, col)
             if tok in names:
                 raise ParseError(f"{tok} is defined twice", ln, col)
-            v, d = _parse_twist_tokens(
-                surface, _definition(groups, tok, ln, col), words, names)
+            v, d, _ = _twist_word(surface, toks, words, names, 0, ";", (), (
+                f"the definition of {tok} does not end with ;", ln, col))
             names[tok] = words.setdefault(v, v), d
             continue
         else:
-            base, k = _split_power(tok, ln, col)
-            curve = _curve_of_token(base, ln, col)
-            d = "(" in base
+            raise ParseError(f"unknown curve token {base!r}", ln, col)
+        if level + d > MAX_NESTING:
+            raise ParseError(_TOO_DEEP, ln, col)
         depth = max(depth, d)
         letters.extend(_repeat(curve, k))
-    return TwistWord(surface, letters), depth
+    if eof:
+        raise ParseError(*eof)
+    return TwistWord(surface, letters), depth, None
 
 
-def _definition(groups, name: str, ln: int, col: int):
-    """The grouped tokens of name's definition, up to the ; that ends it."""
-    for group in groups:
-        if group[0] == ";":
-            return
-        yield group
-    raise ParseError(f"the definition of {name} does not end with ;", ln, col)
+def _conjugator(surface, toks, words, names, level, ln, col):
+    """The conjugator of the img(...) letter opened at ln:col and its
+    depth, read up to its ;: a name defined before, or a twist word."""
+    first = [_take(toks, ln, col)]
+    if _NAME.fullmatch(first[0][0]):
+        first.append(_take(toks, ln, col))
+        name, nl, nc = first[0]
+        if first[1][0] == ";":     # else _twist_word refuses the name
+            if name not in names:
+                raise ParseError(f"{name} is not defined before its use",
+                                 nl, nc)
+            return names[name]
+    v, d, _ = _twist_word(surface, toks, words, names, level, ";", first,
+                          ("unbalanced parentheses", ln, col))
+    return words.setdefault(v, v), d
 
 
 def _parse_twist(params, toks, conjugators=None) -> TwistWord:
@@ -400,8 +382,7 @@ def _parse_twist(params, toks, conjugators=None) -> TwistWord:
     surface = SurfaceModel(g, params.get("s", 2), layout)
     words = {} if conjugators is None else conjugators.setdefault(surface,
                                                                   {})
-    return _parse_twist_tokens(surface, _groups(toks, ("img(",)), words, {},
-                               top=True)[0]
+    return _twist_word(surface, toks, words, {}, 0)[0]
 
 
 @functools.lru_cache(maxsize=1024)   # words repeat a few hundred tags
@@ -453,33 +434,32 @@ def _print_twist(w: TwistWord) -> str:
 # --- swap -------------------------------------------------------------------
 
 def _parse_swap(params, toks) -> SwapWord:
-    l = params.get("l", 0)
-    layout = SurfaceLayout(l)
+    layout = SurfaceLayout(params.get("l", 0))
     sub = layout.subsurface_model()
     letters = []
-    for tok, ln, col in _groups(toks, ("rhoA(", "sub(")):
-        if tok.startswith(("rhoA(", "sub(")):
-            m = re.fullmatch(r"rhoA\((\d+),(\d+);(.*)\)(?:\^(-?\d+))?", tok)
-            if m:
-                i, j = int(m.group(1)), int(m.group(2))
-                if not 1 <= i < j <= 4:
-                    raise ParseError(f"bad swap pair rhoA({i},{j})", ln, col)
-                a = _parse_twist_tokens(sub, _body(m.group(3), ln, col),
-                                        {}, {})[0]
-                v = SwapWord(layout, ((("sub", i, a), 1),))
-                kind = ("conj", v, ("rho", i, j))
-                k = _exponent(m.group(4), ln, col)
-            else:
-                m = re.fullmatch(r"sub\((.*);\s*F(\d+)\)(?:\^(-?\d+))?", tok)
-                if not m:
-                    raise ParseError("malformed swap token", ln, col)
-                i = int(m.group(2))
-                if not 1 <= i <= 4:
-                    raise ParseError(f"no subsurface F{i}", ln, col)
-                a = _parse_twist_tokens(sub, _body(m.group(1), ln, col),
-                                        {}, {})[0]
-                kind = ("sub", i, a)
-                k = _exponent(m.group(3), ln, col)
+    for tok, ln, col in toks:
+        if tok == "sub(":
+            a, _, _ = _twist_word(sub, toks, {}, {}, 1, ";", (), (
+                "unbalanced parentheses", ln, col))
+            f, fl, fc = _take(toks, ln, col)
+            m = re.fullmatch(r"F(\d+)", f)
+            if not m:
+                raise ParseError("malformed swap token", fl, fc)
+            kind = ("sub", int(m.group(1)), a)
+            if not 1 <= kind[1] <= 4:
+                raise ParseError(f"no subsurface F{kind[1]}", ln, col)
+            k = _close(toks, "swap token", ln, col)
+        elif tok.startswith("rhoA("):
+            m = re.fullmatch(r"rhoA\((\d+),(\d+);", tok)
+            if not m:
+                raise ParseError("malformed swap token", ln, col)
+            i, j = int(m.group(1)), int(m.group(2))
+            if not 1 <= i < j <= 4:
+                raise ParseError(f"bad swap pair rhoA({i},{j})", ln, col)
+            a, _, k = _twist_word(sub, toks, {}, {}, 1, ")", (), (
+                "unbalanced parentheses", ln, col))
+            v = SwapWord(layout, ((("sub", i, a), 1),))
+            kind = ("conj", v, ("rho", i, j))
         else:
             base, k = _split_power(tok, ln, col)
             m = _PAIR_TOK.fullmatch(base)

@@ -77,7 +77,7 @@ def swap_bands(gp: int) -> List[Tuple[int, BraidWord]]:
 
 def band_word(bands: List[Tuple[int, BraidWord]]) -> BraidWord:
     """Multiply out a band list into one braid word."""
-    return compose(*[band(core, 0, conj) for core, conj in bands])
+    return compose(*[band(core, conj) for core, conj in bands])
 
 
 def rho_band_factorization(gp: int) -> List[Tuple[int, BraidWord]]:

@@ -78,14 +78,14 @@ class TestWordAlgebra:
         assert W(3, 1).permutation() == (1, 0, 2)
 
     def test_band_definition(self):
-        b = band(1, 3, W(4, 2))
+        b = band(1, W(4, 2))
         assert b.to_ints() == (2, 1, -2)
 
     def test_band_exponent_sum(self):
         rng = random.Random(5)
         for _ in range(20):
             conj = random_word(rng, 5, rng.randint(0, 10))
-            assert band(rng.randint(1, 4), 0, conj).exponent_sum() == 1
+            assert band(rng.randint(1, 4), conj).exponent_sum() == 1
 
 
 class TestGarside:

@@ -144,6 +144,43 @@ class TestDSL:
             parse(f"@braid n=3{end}b1 # b9{end}{end}  b2 b7{end}")
         assert (err.value.line, err.value.column) == (4, 6)
 
+    # an error inside a group is reported at its own token
+    @pytest.mark.parametrize("text,position", [
+        ("@twist g=2 s=2\nc1\n  img(c1 cx; c3)", (3, 10)),
+        ("@swap l=0\nsub(c1\n  zz; F2)", (3, 3)),
+        ("@swap l=0\nrhoA(1,2; c1 c2^x)", (2, 14)),
+    ], ids=["img", "sub", "rhoA"])
+    def test_error_inside_a_group_names_its_token(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == position
+
+    # whitespace around a group's (, ; and ) is optional
+    @pytest.mark.parametrize("text,canonical", [
+        ("@swap l=0\nsub(c1 c2; F2 )", "@swap l=0\nsub(c1 c2; F2)"),
+        ("@swap l=0\nsub( c1 c2;F2)", "@swap l=0\nsub(c1 c2; F2)"),
+        ("@twist g=2 s=2\nimg(c1;c2 )", "@twist g=2 s=2\nimg(c1; c2)"),
+        ("@swap l=0\nrhoA(1,3; c1 c2^-1 )", "@swap l=0\nrhoA(1,3;c1 c2^-1)"),
+    ], ids=["sub-close", "sub-open", "img", "rhoA"])
+    def test_space_inside_a_group_reads_the_same(self, text, canonical):
+        assert parse(text) == parse(canonical)
+
+    # a 60 KB conjugator 1 and 100 groups deep, in each kind of group
+    @pytest.mark.parametrize("wrap", [
+        lambda body: "@twist g=2 s=2\nimg(" + body + "; c2)",
+        lambda body: "@swap l=0\nsub(" + body + "; F2)",
+        lambda body: "@swap l=0\nrhoA(1,3;" + body + ")",
+    ], ids=["img", "sub", "rhoA"])
+    def test_parse_memory_does_not_grow_with_depth(self, wrap):
+        def text(depth):
+            return wrap("img(" * (depth - 1) + "c1 c2 " * 10_000
+                        + "; c2)" * (depth - 1))
+        shallow, _ = traced_parse(text(1))
+        deep, _ = traced_parse(text(MAX_NESTING))
+        # each group's body was read again at every level: 49 times the
+        # shallow peak at depth 100
+        assert deep < 2 * shallow
+
     def test_braid_round_trip(self):
         d = parse("@braid n=3\nb1 b2 b1")
         assert isinstance(d.value, BraidWord)
@@ -634,28 +671,33 @@ class TestCLI:
         assert parse(f"@twist g={g} s=2 l={MAX_LAYOUT}\nc(4,1)").value \
             .surface.layout == SurfaceLayout(MAX_LAYOUT)
 
-    # 2,000 levels of img(...) written as one token: its parentheses
-    # balance, so only a count taken paren by paren sees the depth.
+    # 2,000 levels of img(...) written with no whitespace: the tokenizer
+    # splits each group's opener, ; and ) out of the one run of text.
     _DEEP_TOKEN = "img(" * 2000 + "c1" + ";c2)" * 2000
 
-    @pytest.mark.parametrize("text,other", [
+    _NEST = "nest deeper than the cap"
+
+    # the second sub( of "sub(sub(" is read as a curve of the first one's
+    # body, and refused at once: the whole stderr line is pinned
+    @pytest.mark.parametrize("text,other,want", [
         ("@twist g=2 s=2\n" + "img(" * 2000 + "c1" + "; c2)" * 2000,
-         "@twist g=2 s=2\nc1"),
-        ("@twist g=2 s=2\n" + _DEEP_TOKEN, "@twist g=2 s=2\nc1"),
+         "@twist g=2 s=2\nc1", _NEST),
+        ("@twist g=2 s=2\n" + _DEEP_TOKEN, "@twist g=2 s=2\nc1", _NEST),
         ("@twist g=2 s=2\nc1 img(c1; c2) " + _DEEP_TOKEN + " c2",
-         "@twist g=2 s=2\nc1"),
+         "@twist g=2 s=2\nc1", _NEST),
         ("@swap l=0\n" + "sub(" * 2000 + "c1" + "; F2)" * 2000,
-         "@swap l=0\nMb"),
-        ("@swap l=0\nsub(" + _DEEP_TOKEN + "; F2)", "@swap l=0\nMb"),
-        ("@swap l=0\nrhoA(1,3;" + _DEEP_TOKEN + ")", "@swap l=0\nMb"),
+         "@swap l=0\nMb", "parse error: 2:5: unknown curve token 'sub('\n"),
+        ("@swap l=0\nsub(" + _DEEP_TOKEN + "; F2)", "@swap l=0\nMb", _NEST),
+        ("@swap l=0\nrhoA(1,3;" + _DEEP_TOKEN + ")", "@swap l=0\nMb",
+         _NEST),
         # each definition nests one level deeper than the one before
         ("@twist g=2 s=2\nV1 = c1 ;\n" + "".join(
             f"V{k} = img(V{k - 1}; c1) ;\n" for k in range(2, 10_001))
-         + "img(V10000; c2)", "@twist g=2 s=2\nc1"),
+         + "img(V10000; c2)", "@twist g=2 s=2\nc1", _NEST),
     ], ids=["img", "img-one-token", "img-mixed", "sub", "sub-body",
             "rhoA-body", "chained-definitions"])
     def test_deep_nesting_exit_1_without_recursing(self, tmp_path, capsys,
-                                                   text, other):
+                                                   text, other, want):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         a.write_text(text + "\n")
         b.write_text(other + "\n")
@@ -665,7 +707,7 @@ class TestCLI:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 1 and "nest deeper than the cap" in err
+        assert code == 1 and want in err
         assert "Traceback" not in err
         assert peak < 2_000_000
 

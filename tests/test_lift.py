@@ -69,7 +69,7 @@ def test_lift_of_band_is_derived_twist():
     calc = HomologyCalculator(surface)
     conj = BraidWord.from_ints(6, [3, -4])
     derived = twist(surface, DerivedCurve(chain_curve(2), lift(conj)))
-    assert calc.homology_action(lift(band(2, 0, conj))) \
+    assert calc.homology_action(lift(band(2, conj))) \
         == calc.homology_action(derived)
 
 
@@ -98,7 +98,7 @@ class TestSwapBands:
         bands = rho_band_factorization(gp)
         assert len(bands) == 2 * gp + 2
         for core, conj in bands:
-            assert band(core, 0, conj).exponent_sum() == 1
+            assert band(core, conj).exponent_sum() == 1
 
     @pytest.mark.parametrize("gp", [*range(1, 9), 14])
     def test_certified_against_target(self, gp):
