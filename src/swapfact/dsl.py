@@ -18,12 +18,13 @@ g= are at most MAX_HEADER, l= at most surface.MAX_LAYOUT.
 
 `#` starts a comment running to the end of the line.  Whitespace separates
 tokens, and a group's opener (img(, sub(, rhoA(i,j;), each ; and each )
-is a token of its own, so whitespace around them is optional.  Tokens
-accept `^k` and `^-k` suffixes with |k| <= MAX_POWER, a group's ) too,
-and groups nest at most MAX_NESTING deep.  Printing is canonical (single
-spaces, no comments) and parse(print(d)) == d.  Composition is right to
-left: the rightmost token acts first, annotated in printed headers to
-prevent convention drift.
+is a token of its own, so whitespace around them is optional; spaces and
+tabs next to the ( , ; or ) of a token's indices, as in c(2, 4), read as
+absent.  Tokens accept `^k` and `^-k` suffixes with |k| <= MAX_POWER, a
+group's ) too, and groups nest at most MAX_NESTING deep.  Printing is
+canonical (single spaces, no comments) and parse(print(d)) == d.
+Composition is right to left: the rightmost token acts first, annotated
+in printed headers to prevent convention drift.
 
 A @twist body may name a conjugator and use the name in its place:
 
@@ -97,12 +98,15 @@ _HEADER_PARAM = re.compile(r"(\w+)=(-?\d+)")
 # str.splitlines recognises; the whitespace between them is skipped.  A
 # token is a group opener (img(, sub( or rhoA(i,j;), a ;, a ) with its ^k,
 # a stray (, or a run of other characters with at most one (...) in it,
-# such as c(2,4), bd(F3,2) or rho(1,2)^-1.
+# such as c(2,4), bd(F3,2) or rho(1,2)^-1.  A blank in its indices not
+# next to a ( , ; or ), as in M(1 2), stays in the token.
 _LINE_END = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
 _PLAIN = r"[^\s#();]"
+_INDEX = rf"(?:{_PLAIN}|[ \t])*"
+_BLANKS = re.compile(r"[ \t]*([(,;)])[ \t]*")
 _LEXEME = re.compile(
-    rf"(img\(|sub\(|rhoA\({_PLAIN}*;|[;(]|\)(?:\^{_PLAIN}*)?"
-    rf"|{_PLAIN}+(?:\({_PLAIN}*\){_PLAIN}*)?)"
+    rf"(img\(|sub\(|rhoA\({_INDEX};|[;(]|\)(?:\^{_PLAIN}*)?"
+    rf"|{_PLAIN}+(?:\({_INDEX}\){_PLAIN}*)?)"
     rf"|#[^{_LINE_END}]*|(\r\n|[{_LINE_END}])")
 
 
@@ -113,6 +117,8 @@ def _tokenize(text: str):
     for m in _LEXEME.finditer(text):
         token, end = m.groups()
         if token:
+            if " " in token or "\t" in token:
+                token = _BLANKS.sub(r"\1", token)
             yield token, line, m.start() - start + 1
         elif end:
             line, start = line + 1, m.end()

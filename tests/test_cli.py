@@ -155,15 +155,47 @@ class TestDSL:
             parse(text)
         assert (err.value.line, err.value.column) == position
 
-    # whitespace around a group's (, ; and ) is optional
+    # whitespace around a group's (, ; and ) is optional, and spaces and
+    # tabs next to the ( , ; or ) of a token's indices read as absent
     @pytest.mark.parametrize("text,canonical", [
         ("@swap l=0\nsub(c1 c2; F2 )", "@swap l=0\nsub(c1 c2; F2)"),
         ("@swap l=0\nsub( c1 c2;F2)", "@swap l=0\nsub(c1 c2; F2)"),
         ("@twist g=2 s=2\nimg(c1;c2 )", "@twist g=2 s=2\nimg(c1; c2)"),
         ("@swap l=0\nrhoA(1,3; c1 c2^-1 )", "@swap l=0\nrhoA(1,3;c1 c2^-1)"),
-    ], ids=["sub-close", "sub-open", "img", "rhoA"])
+        ("@swap l=0\nrhoA(1,3 ; c1)", "@swap l=0\nrhoA(1,3;c1)"),
+        ("@swap l=0\nrhoA( 1,3; c1)", "@swap l=0\nrhoA(1,3;c1)"),
+        ("@swap l=0\nrhoA(1, 3; c1)", "@swap l=0\nrhoA(1,3;c1)"),
+        ("@swap l=0\nrhoA(\t1 ,\t3\t;c1)", "@swap l=0\nrhoA(1,3;c1)"),
+        ("@swap l=0\nrho(1, 2)^-1 delta( 2,3 ) M(1 )",
+         "@swap l=0\nrho(1,2)^-1 delta(2,3) M(1)"),
+        ("@framed n=4\nrho(1, 2) delta(2 ,3)^2 M( 4)",
+         "@framed n=4\nrho(1,2) delta(2,3)^2 M(4)"),
+        ("@twist g=11 s=2 l=0\nc(2, 4)", "@twist g=11 s=2 l=0\nc(2,4)"),
+        ("@twist g=11 s=2 l=0\nd( 1,1 )^-1 bd(F3 , 2) bd(\tF2)",
+         "@twist g=11 s=2 l=0\nd(1,1)^-1 bd(F3,2) bd(F2)"),
+        ("@twist g=11 s=2 l=0\nimg(c( 1,1) c2; c(2, 4))",
+         "@twist g=11 s=2 l=0\nimg(c(1,1) c2; c(2,4))"),
+    ], ids=["sub-close", "sub-open", "img", "rhoA", "rhoA-index-semicolon",
+            "rhoA-index-open", "rhoA-index-comma", "rhoA-index-tabs",
+            "swap-indices", "framed-indices", "subchain-index",
+            "layout-curve-indices", "indices-in-img"])
     def test_space_inside_a_group_reads_the_same(self, text, canonical):
         assert parse(text) == parse(canonical)
+
+    # a line end there stays a token boundary, and a blank between two
+    # characters of an index stays in the token its error names
+    @pytest.mark.parametrize("text,message", [
+        ("@swap l=0\nrhoA(1,\n3; c1)", "2:1: unknown swap token 'rhoA'"),
+        ("@twist g=11 s=2 l=0\nc(2,\n4)", "2:1: unknown curve token 'c'"),
+        ("@swap l=0\nM(1 2)", "2:1: unknown swap token 'M(1 2)'"),
+        ("@twist g=11 s=2 l=0\nc( 2,4) cx", "2:9: unknown curve token 'cx'"),
+    ], ids=["rhoA-line-end", "subchain-line-end", "blank-inside-index",
+            "column-after-spaced-index"])
+    def test_index_parentheses_keep_line_ends_and_inner_blanks(self, text,
+                                                               message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
     # a 60 KB conjugator 1 and 100 groups deep, in each kind of group
     @pytest.mark.parametrize("wrap", [

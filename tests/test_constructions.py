@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from swapfact.constructions import (PositiveFactorization,
+from swapfact import constructions
+from swapfact.constructions import (PositiveFactorization, SearchExhausted,
                                     boundary_multitwist_factorization,
                                     commutator_relation, extend_to_genus,
                                     extended_calculator, insert_equals_append,
@@ -83,7 +84,11 @@ class TestCommutatorRelation:
          "01aa152a157d0166014a4dd5f3eb1a6caf405a529962076793b7318c756079fc"),
         ([4], range(12),
          "dd7397fd7dd222763f8db726bf6a443f389dab575f1ce372e10a3a1302ad805d"),
-    ], ids=["seed0-every-subsurface-genus", "genus3", "genus4"])
+        # the subsurface of the layout cap, which --l 22 searches on
+        ([2 + MAX_LAYOUT], range(12),
+         "e107be283f9a2b55cd8255f6c33e83fce50918b99e88ae53e6a523a52d78e7ae"),
+    ], ids=["seed0-every-subsurface-genus", "genus3", "genus4",
+            "layout-cap-genus"])
     def test_psi_pinned_across_subsurface_genera(self, genera, seeds, digest):
         # The CLI searches on the subsurface Sigma_{2+l}, l = 0..MAX_LAYOUT,
         # and the words differ by genus.  Ties between shortest
@@ -94,6 +99,21 @@ class TestCommutatorRelation:
                                                       seed=k)))
             for g in genera for k in seeds)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_search_ends_at_its_depth(self, monkeypatch):
+        # every genus-2 certificate has 8 letters: 3 letters a side find
+        # none, 4 find one; the cache is cleared so the depth is read
+        s = SurfaceModel(2, 2)
+        constructions._psi_search.cache_clear()
+        try:
+            monkeypatch.setattr(constructions, "PSI_MAX_DEPTH", 3)
+            with pytest.raises(SearchExhausted) as err:
+                make_psi(s)
+            assert str(err.value) == "no psi certificate within 6 letters"
+            monkeypatch.setattr(constructions, "PSI_MAX_DEPTH", 4)
+            assert len(make_psi(s)) == 8
+        finally:
+            constructions._psi_search.cache_clear()
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_relation_homologically_trivial(self, genus2, m):
