@@ -28,8 +28,7 @@ from .dsl import (MAX_HEADER, MAX_POWER, Document, ParseError, parse,
 from .framed import framed_equal
 from .invariants import fibration_invariants
 from .lift import lift as branched_lift
-from .surface import (MAX_LAYOUT, HomologyCalculator, SurfaceModel,
-                      TwistWord, UnknownCurve)
+from .surface import MAX_LAYOUT, HomologyCalculator, SurfaceModel, TwistWord
 from .swaps import expand, has_subsurface_letters, shadow
 
 REPORT_SCHEMA = 1
@@ -39,8 +38,8 @@ REPORT_SCHEMA = 1
 # (2g+1)(2g+2) - 552 letters whose conjugators are prefixes of one word;
 # the artifact defines each distinct conjugator once.  At genus 100
 # (40,154 letters, 0.6 MB) a shared 2-vCPU host took 2.9 s to generate
-# it, 1.8 s for `invariants` of it and 3.8 s to `verify` it against the
-# boundary multitwist (medians of three fresh CLI processes).
+# it, 3.2 s for `invariants` of it (1 s checks its action) and 3.8 s to
+# `verify` it against the boundary multitwist (medians of three runs).
 MAX_GENUS = MAX_HEADER
 
 
@@ -201,9 +200,13 @@ def _cmd_invariants(args):
     word = _read_value(args, "twist")
     if not word.is_positive():
         raise Refusal("invariants expects an all-positive factorization")
+    calc = HomologyCalculator(word.surface)      # the check generate makes
+    if not calc.is_identity_action(word):
+        raise Refusal("invariants expects a factorization of the boundary "
+                      "multitwist, which acts as the identity on H_1", 2)
     fact = PositiveFactorization(word, None, "input file",
                                  ("input",) * len(word))
-    inv = fibration_invariants(fact, HomologyCalculator(word.surface))
+    inv = fibration_invariants(fact, calc)
     return 0, [("genus", inv.genus), ("n_cycles", inv.n_cycles),
                ("euler_closed", inv.euler_closed),
                ("euler_filling", inv.euler_filling), ("b1", inv.b1),
@@ -281,7 +284,7 @@ def main(argv=None) -> int:
     except Refusal as exc:
         print(exc, file=sys.stderr)
         return exc.code
-    except (OSError, ValueError, UnknownCurve) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if report is not None:

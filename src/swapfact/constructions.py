@@ -27,7 +27,8 @@ import functools
 from typing import Dict, List, Sequence, Tuple
 
 from .surface import (DerivedCurve, HomologyCalculator, NamedCurve,
-                      SurfaceLayout, SurfaceModel, TwistWord, twist)
+                      SurfaceLayout, SurfaceModel, TwistWord, chain_curve,
+                      twist)
 from .swaps import SwapWord, expand, rho
 from .words import Value, Word, compose
 
@@ -40,15 +41,13 @@ class SearchExhausted(RuntimeError):
 # The genus-two commutator relation
 # ---------------------------------------------------------------------------
 
-_T_SEQUENCE = ("c2", "c3", "c1", "c2", "c3", "c1", "c2", "c3", "c1", "c2")
-_TAGS = {"c1": ("chain", 1), "c2": ("chain", 2), "c3": ("chain", 3)}
+_T_SEQUENCE = (2, 3, 1, 2, 3, 1, 2, 3, 1, 2)     # the chain curves' indices
 
 
 def word_T(surface: SurfaceModel | None = None) -> TwistWord:
     """T = t_c2 t_c3 (t_c1 t_c2 t_c3)^2 t_c1 t_c2: ten positive twists."""
     surface = surface or SurfaceModel(2, 2)
-    return compose(*[twist(surface, NamedCurve(_TAGS[x]))
-                     for x in _T_SEQUENCE])
+    return compose(*[twist(surface, chain_curve(k)) for k in _T_SEQUENCE])
 
 
 _PSI_GEN_TAGS = (("chain", 1), ("chain", 2), ("chain", 3), ("chain", 4),

@@ -14,7 +14,8 @@ line: n= (strands; @framed defaults to 4) for @braid and @framed; g=, s=
 (default 2) and l= for @twist, where l= names the layout whose subsurface
 curves c(i,k), d(i,k), bd(Fi) the word may use and no l= means the plain
 chain surface; l= (default 0) for @swap.  Other keys are errors.  n= and
-g= are at most MAX_HEADER, l= at most surface.MAX_LAYOUT.
+g= are at most MAX_HEADER, l= at most surface.MAX_LAYOUT.  A curve token
+names a curve in surface.curve_table of its word's surface, or is an error.
 
 `#` starts a comment running to the end of the line.  Whitespace separates
 tokens, and a group's opener (img(, sub(, rhoA(i,j;), each ; and each )
@@ -56,7 +57,7 @@ from .framed import (FramedBraid, boundary_multitwist_framed, delta_framed,
                      fcompose, fpower, framed_identity, m_framed,
                      rho_framed)
 from .surface import (MAX_LAYOUT, DerivedCurve, NamedCurve, SurfaceLayout,
-                      SurfaceModel, TwistWord)
+                      SurfaceModel, TwistWord, curve_table)
 from .swaps import SwapWord
 
 
@@ -254,36 +255,39 @@ def _print_framed(x: FramedBraid) -> str:
 
 # --- twist ------------------------------------------------------------------
 
-# Curve tokens: each spelling and the tag it reads to, with None where the
-# spelling's numbers go, in order.  The printer prefers a spelling that
-# fixes the tag's last entry (bd(Fi) is bd(Fi,1)).
+# Curve tokens: each tag, with None where the spelling's numbers go, in
+# order, and its spelling.  A tag whose last entry is fixed is spelled so
+# before the free form: the printer writes bd(Fi) for bd(Fi,1).
 _CURVE_SPELLINGS = {
-    "c{}": ("chain", None),
-    "d{}": ("dcurve", None),
-    "delta{}": ("boundary", None),
-    "c({},{})": ("subchain", None, None),
-    "d({},{})": ("subdcurve", None, None),
-    "bd(F{})": ("subboundary", None, 1),
-    "bd(F{},{})": ("subboundary", None, None),
+    ("chain", None): "c{}",
+    ("dcurve", None): "d{}",
+    ("boundary", None): "delta{}",
+    ("subchain", None, None): "c({},{})",
+    ("subdcurve", None, None): "d({},{})",
+    ("subboundary", None, 1): "bd(F{})",
+    ("subboundary", None, None): "bd(F{},{})",
 }
-# A token's literal parts joined by "#", which no token contains (it starts
-# a comment), so a match fixes how many numbers the token has.
-_TAG_OF_SHAPE = {sp.replace("{}", "#"): tag
-                 for sp, tag in _CURVE_SPELLINGS.items()}
-_SPELLING_OF_TAG = {tag: sp for sp, tag in _CURVE_SPELLINGS.items()}
-_NUMBERS = re.compile(r"(\d+)")
 
 
-@functools.lru_cache(maxsize=1024)   # words repeat a few hundred tokens
-def _named_curve(base: str) -> NamedCurve | None:
-    """The curve the token spells, None when it spells none."""
-    parts = _NUMBERS.split(base)
-    template = _TAG_OF_SHAPE.get("#".join(parts[0::2]))
-    if template is None:
-        return None
-    numbers = map(int, parts[1::2])
-    return NamedCurve(tuple(next(numbers) if x is None else x
-                            for x in template))
+@functools.lru_cache(maxsize=64)   # a run reads and writes a few surfaces
+def _curve_tokens(surface: SurfaceModel) -> Tuple[dict, dict]:
+    """token -> NamedCurve for every spelling of every curve in the
+    surface's curve_table, and tag -> the first, which the printer writes."""
+    curves, spellings = {}, {}
+    for tag in curve_table(surface):
+        curve, free = NamedCurve(tag), (tag[0],) + (None,) * (len(tag) - 1)
+        for template in (free[:-1] + tag[-1:], free):
+            if template in _CURVE_SPELLINGS:
+                token = _CURVE_SPELLINGS[template].format(*tag[1:])
+                curves[token] = curve
+                spellings.setdefault(tag, token)
+    return curves, spellings
+
+
+def _unknown_curve(base: str, ln: int, col: int, hint: str) -> ParseError:
+    """The error for a token that spells no curve of the surface."""
+    hint = hint if base.startswith(("c(", "d(", "bd(")) else ""
+    return ParseError(f"unknown curve token {base!r}{hint}", ln, col)
 
 
 def _take(toks, ln: int, col: int):
@@ -307,23 +311,26 @@ _NAME = re.compile(r"V\d+")
 
 
 def _twist_word(surface: SurfaceModel, toks, words: dict, names: dict,
-                level: int, end: str | None = None, first=(), eof=None):
+                level: int, end: str | None = None, first=(), eof=None,
+                hint: str = ""):
     """Read a twist word from first, then toks, up to its end token and
     return the word, how deep its letters nest and the k of the end token.
     end is ; or ) for the body of a group, which level groups enclose, and
     None at the top level, which runs to the end of the text and alone may
     define names.  eof is the (message, line, column) of the error to raise
-    when the text ends before the end token.
+    when the text ends before the end token; hint ends the error for an
+    unknown token shaped like a layout curve.
 
     A letter nests as deep as its parentheses; a named conjugator counts as
     its definition written out in place.  The class resolution recurses
     that deep.  words interns the conjugators read so far by value: equal
     conjugators become one object, which the class memo finds fast.  names
     maps each name defined so far to its word and depth."""
+    curves = _curve_tokens(surface)[0]
     letters, depth = [], 0
     for tok, ln, col in itertools.chain(first, toks):
         base, k = _split_power(tok, ln, col)
-        curve = _named_curve(base)
+        curve = curves.get(base)
         if curve is not None:
             d = "(" in base
         elif base == end:
@@ -332,11 +339,11 @@ def _twist_word(surface: SurfaceModel, toks, words: dict, names: dict,
             if level == MAX_NESTING:
                 raise ParseError(_TOO_DEEP, ln, col)
             v, d = _conjugator(surface, toks, words, names, level + 1, ln,
-                               col)
+                               col, hint)
             base, bl, bc = _take(toks, ln, col)
-            curve = _named_curve(base)
+            curve = curves.get(base)
             if curve is None:
-                raise ParseError(f"unknown curve token {base!r}", bl, bc)
+                raise _unknown_curve(base, bl, bc, hint)
             curve, d = DerivedCurve(curve, v), 1 + max(d, "(" in base)
             k = _close(toks, "img(...) token", ln, col)
         elif _NAME.fullmatch(tok):
@@ -349,11 +356,11 @@ def _twist_word(surface: SurfaceModel, toks, words: dict, names: dict,
             if tok in names:
                 raise ParseError(f"{tok} is defined twice", ln, col)
             v, d, _ = _twist_word(surface, toks, words, names, 0, ";", (), (
-                f"the definition of {tok} does not end with ;", ln, col))
+                f"the definition of {tok} does not end with ;", ln, col), hint)
             names[tok] = words.setdefault(v, v), d
             continue
         else:
-            raise ParseError(f"unknown curve token {base!r}", ln, col)
+            raise _unknown_curve(base, ln, col, hint)
         if level + d > MAX_NESTING:
             raise ParseError(_TOO_DEEP, ln, col)
         depth = max(depth, d)
@@ -363,7 +370,7 @@ def _twist_word(surface: SurfaceModel, toks, words: dict, names: dict,
     return TwistWord(surface, letters), depth, None
 
 
-def _conjugator(surface, toks, words, names, level, ln, col):
+def _conjugator(surface, toks, words, names, level, ln, col, hint):
     """The conjugator of the img(...) letter opened at ln:col and its
     depth, read up to its ;: a name defined before, or a twist word."""
     first = [_take(toks, ln, col)]
@@ -376,7 +383,7 @@ def _conjugator(surface, toks, words, names, level, ln, col):
                                  nl, nc)
             return names[name]
     v, d, _ = _twist_word(surface, toks, words, names, level, ";", first,
-                          ("unbalanced parentheses", ln, col))
+                          ("unbalanced parentheses", ln, col), hint)
     return words.setdefault(v, v), d
 
 
@@ -388,25 +395,16 @@ def _parse_twist(params, toks, conjugators=None) -> TwistWord:
     surface = SurfaceModel(g, params.get("s", 2), layout)
     words = {} if conjugators is None else conjugators.setdefault(surface,
                                                                   {})
-    return _twist_word(surface, toks, words, {}, 0)[0]
-
-
-@functools.lru_cache(maxsize=1024)   # words repeat a few hundred tags
-def _spell(tag: tuple) -> str:
-    free = (tag[0],) + (None,) * (len(tag) - 1)
-    for template in (free[:-1] + tag[-1:], free):
-        spelling = _SPELLING_OF_TAG.get(template)
-        if spelling is not None:
-            return spelling.format(*(x for x, t in zip(tag, template)
-                                     if t is None))
-    raise ValueError(f"curve {tag} has no DSL token")
+    return _twist_word(surface, toks, words, {}, 0, hint="" if layout else
+                       "; a layout curve needs l=<l> in the @twist header")[0]
 
 
 def _print_twist_tokens(w: TwistWord, conjugator) -> List[str]:
     """The word's tokens; conjugator(v) spells the conjugator v of each
     img(...) letter."""
-    return [(f"img({conjugator(c.conjugator)}; {_spell(c.base.tag)})"
-             if isinstance(c, DerivedCurve) else _spell(c.tag))
+    spell = _curve_tokens(w.surface)[1]
+    return [(f"img({conjugator(c.conjugator)}; {spell[c.base.tag]})"
+             if isinstance(c, DerivedCurve) else spell[c.tag])
             + ("^-1" if s < 0 else "") for c, s in w.letters]
 
 

@@ -143,32 +143,25 @@ def b1_of_total_space(fact: PositiveFactorization,
     return HomologySummary(rank_ambient - rank, torsion)
 
 
-def endo_signature(g: int, n_nonsep: int,
-                   s: Sequence[int] = ()) -> Fraction:
-    """The hyperelliptic signature formula, exactly:
-    sigma = -(g+1)/(2g+1) N + sum_j (4j(g-j)/(2g+1) - 1) s_j."""
+def endo_signature(g: int, n_nonsep: int) -> Fraction:
+    """The hyperelliptic signature formula for N non-separating vanishing
+    cycles, exactly: sigma = -(g+1)/(2g+1) N.  b1_of_total_space rejects
+    null classes, so no vanishing cycle it counts is separating."""
     if g < 1:
         raise ValueError("need g >= 1")
-    if len(s) > g // 2:
-        raise ValueError("separating counts are indexed by 1..floor(g/2)")
-    total = Fraction(-(g + 1), 2 * g + 1) * n_nonsep
-    for j, sj in enumerate(s, start=1):
-        total += (Fraction(4 * j * (g - j), 2 * g + 1) - 1) * sj
-    return total
+    return Fraction(-(g + 1), 2 * g + 1) * n_nonsep
 
 
-def hyperelliptic_obstruction(g: int, n_nonsep: int,
-                              s: Sequence[int] = ()) -> str:
+def hyperelliptic_obstruction(g: int, n_nonsep: int) -> str:
     """'NotHyperelliptic' when the signature formula is non-integral (a
     genuine signature is an integer), else 'Inconclusive'."""
-    sigma = endo_signature(g, n_nonsep, s)
+    sigma = endo_signature(g, n_nonsep)
     return "Inconclusive" if sigma.denominator == 1 else "NotHyperelliptic"
 
 
 class FibrationInvariants(NamedTuple):
     genus: int
     n_cycles: int
-    separating: Tuple[int, ...]
     euler_closed: int
     euler_filling: int
     b1: int
@@ -179,8 +172,9 @@ class FibrationInvariants(NamedTuple):
 
 def fibration_invariants(fact: PositiveFactorization,
                          calc: HomologyCalculator) -> FibrationInvariants:
-    """Full invariant report for a verified positive factorization of the
-    boundary multitwist (fiber has two boundary components)."""
+    """Full invariant report for a positive factorization of the boundary
+    multitwist (fiber has two boundary components).  Nothing here checks
+    that the word is one: a caller checks its action first."""
     surface = fact.word.surface
     g = surface.genus
     n = fact.length()
@@ -188,7 +182,6 @@ def fibration_invariants(fact: PositiveFactorization,
     return FibrationInvariants(
         genus=g,
         n_cycles=n,
-        separating=(),
         euler_closed=euler_closed(g, n),
         euler_filling=euler_filling(g, 2, n),
         b1=summary.b1,

@@ -194,7 +194,7 @@ def curve_table(surface: SurfaceModel) -> Dict[tuple, Vector]:
     table: Dict[tuple, Vector] = {}
 
     def chains(*ks: int) -> Vector:  # c_k1 + c_k2 + ..., 1-based
-        return tuple(int(i + 1 in ks) for i in range(r))
+        return tuple([1 if i in ks else 0 for i in range(1, r + 1)])
 
     def pair(key: tuple, v: Vector) -> None:  # the two sides of a curve
         table[key + (1,)] = v
@@ -271,10 +271,7 @@ class HomologyCalculator:
             try:
                 return self.table[curve.tag]
             except KeyError:
-                hint = ("; a layout curve needs l=<l> in the @twist header"
-                        if curve.tag[0].startswith("sub")
-                        and self.surface.layout is None else "")
-                raise UnknownCurve(f"{curve.tag} not on this surface{hint}"
+                raise UnknownCurve(f"{curve.tag} not on this surface"
                                    ) from None
         if isinstance(curve, DerivedCurve):
             key = (curve.base.tag, curve.conjugator)

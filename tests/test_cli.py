@@ -239,7 +239,8 @@ class TestDSL:
         assert d.value.to_ints() == (1, 1, 1, -2, -2)
 
     def test_twist_tokens(self):
-        text = "@twist g=11 s=2\nc3 d1^-1 delta1 c(2,4) bd(F3) img(c1 c2; c3)"
+        text = ("@twist g=11 s=2 l=0\nc3 d1^-1 delta1 c(2,4) bd(F3) "
+                "img(c1 c2; c3)")
         d = parse(text)
         assert len(d.value) == 6
         assert parse(print_document(d)).value == d.value
@@ -279,10 +280,9 @@ class TestDSL:
         assert d.value.surface.layout == SurfaceLayout(1)
         assert print_document(d) == text
         assert parse(text) == d
-        plain = parse("@twist g=16 s=2\nc(2,4)").value
-        assert plain.surface.layout is None and plain != d.value
-        assert print_document(Document("twist", plain)).startswith(
-            "@twist g=16 s=2\n")
+        # a plain surface has no layout curves
+        with pytest.raises(ParseError, match=r"^2:1: .*l=<l> in the @twist"):
+            parse("@twist g=16 s=2\nc(2,4)")
 
     @pytest.mark.parametrize("token", ["c", "c(1)", "c(1,2,3)", "bd(F)",
                                        "bd(F1,2,3)", "c{}", "c({},1)",
@@ -473,6 +473,37 @@ class TestCLI:
         code, _, err = run([a.format(f=f) for a in command], capsys)
         assert code == 1 and "error:" in err and "Traceback" not in err
 
+    # a curve token is read from the surface's curve table, so a curve the
+    # surface lacks is a parse error with its line and column, whatever the
+    # tier; only a layout-shaped token in a @twist header without l= gets
+    # the hint
+    _HINT = "; a layout curve needs l=<l> in the @twist header"
+
+    @pytest.mark.parametrize("text,tier,err", [
+        ("@twist g=11 s=2 l=0\nc(2,99)", "auto",
+         "2:1: unknown curve token 'c(2,99)'"),
+        ("@twist g=2 s=2\nc(1,1)", "auto",
+         "2:1: unknown curve token 'c(1,1)'" + _HINT),
+        ("@twist g=2 s=2\nimg(c1; bd(F1))", "auto",
+         "2:9: unknown curve token 'bd(F1)'" + _HINT),
+        ("@twist g=2 s=2\nc9", "auto", "2:1: unknown curve token 'c9'"),
+        ("@swap l=0\nsub(c(1,1); F2)", "auto",
+         "2:5: unknown curve token 'c(1,1)'"),
+        ("@twist g=2 s=2\nc01", "auto", "2:1: unknown curve token 'c01'"),
+        ("@twist g=11 s=2 l=0\nc1 c(2,99)", "exact",
+         "2:4: unknown curve token 'c(2,99)'"),
+        ("@twist g=11 s=2 l=0\nc1 c(2,99)", "framed",
+         "2:4: unknown curve token 'c(2,99)'"),
+    ], ids=["subchain-index", "layout-token-without-l", "img-base-without-l",
+            "chain-index", "swap-body", "leading-zero", "tier-exact",
+            "tier-framed"])
+    def test_curve_not_on_the_surface_is_a_located_parse_error(
+            self, tmp_path, capsys, text, tier, err):
+        f = tmp_path / "w.txt"
+        f.write_text(text + "\n")
+        assert run(["verify", str(f), str(f), "--tier", tier], capsys) == (
+            1, "", f"parse error: {err}\n")
+
     @pytest.mark.parametrize("token", ["rhoA(1,5; c1)", "rhoA(2,1; c1)",
                                        "rhoA(3,3; c1)", "sub(c1; F5)",
                                        "sub(c1; F0)", "M(0)", "M(7)"])
@@ -537,9 +568,14 @@ class TestCLI:
               "swap": "@swap l=0\nrho(1,2)", "swap1": "@swap l=1\nrho(1,2)",
               "rhoA": "@swap l=0\nrhoA(1,2; c1)",
               "twist": "@twist g=2 s=2\nc1 c2", "twist3": "@twist g=3 s=2\nc1",
+              # (t_c1 t_c2)^6 is the twist about a separating curve, which
+              # acts trivially on H_1
+              "chain6": "@twist g=2 s=2\n" + "c1 c2 " * 6,
               "negative": "@twist g=2 s=2\nc1 c2^-1",
               "multitwist": "@twist g=11 s=2\ndelta1 delta2",
               "empty": "@twist g=11 s=2"}
+    _NOT_IDENTITY = ("invariants expects a factorization of the boundary "
+                     "multitwist, which acts as the identity on H_1\n")
     _TIER_INSUFFICIENT = (
         "tier-insufficient (the words differ in twists about radical classes, "
         "which homology cannot distinguish; boundary twists act trivially on "
@@ -589,9 +625,10 @@ class TestCLI:
         # the one exit-3 outcome that is a report, not a refusal
         (["verify", "multitwist.txt", "empty.txt", "--tier", "homology"], 3,
          f"schema: 1\ntier: homology\nverdict: {_TIER_INSUFFICIENT}\n", ""),
-        (["invariants", "twist.txt"], 0, "schema: 1\ngenus: 2\nn_cycles: 2\n"
-         "euler_closed: -2\neuler_filling: -2\nb1: 2\ntorsion: none\n"
-         "endo_sigma_num: -6\nendo_sigma_den: 5\n"
+        (["invariants", "twist.txt"], 2, "", _NOT_IDENTITY),
+        (["invariants", "chain6.txt"], 0, "schema: 1\ngenus: 2\n"
+         "n_cycles: 12\neuler_closed: 8\neuler_filling: 8\nb1: 2\n"
+         "torsion: none\nendo_sigma_num: -36\nendo_sigma_den: 5\n"
          "hyperelliptic_verdict: NotHyperelliptic\n", ""),
     ]
 
@@ -896,7 +933,8 @@ class TestCLI:
     # the command's stdout, and of the stdout of `invariants` on the
     # artifact, which it must also print for the inline text.  The
     # commutator word is not positive, so `invariants` refuses it: exit 1,
-    # nothing on stdout.
+    # nothing on stdout.  The phi word factorizes Phi, whose action is not
+    # the identity, so `invariants` refuses it: exit 2, nothing on stdout.
     @pytest.mark.parametrize("argv, digests, invariants_code", [
         (["boundary", "--m", "0"],
          ("f357d0d41cc3603faa69007bd8703c77acc05c8c197ed38c5a88f04ddfd316f4",
@@ -914,8 +952,8 @@ class TestCLI:
          ("9f035d0ea158257f6e734927d66be181bb4b49007c46b2bedfe300c6578aa043",
           "3757deb993fe6ce633fc76bd701aa1c64d3200b9d80fae63e4c01198b2ceb3d7",
           "90ad5abcb9aa57c270980b3001a3a7305a954abc3e88fcb1a841c608ba56e132",
-          "60fd53711a49ecc94d596c9fc94fe81cda416119f62c3e0031f6cf02c466f3f7"),
-         0),
+          hashlib.sha256(b"").hexdigest()),
+         2),
         (["extend", "--genus", "12"],
          ("3a088cf514c4acf931dec038223fe18c95480d25f3a4d7d8dff4340c26fb157d",
           "19bcf4fc367b05e1ccd7c1dce4a57d2d90c17a70df09b2c0287cb82c8541dba0",
@@ -1048,7 +1086,9 @@ _KINDS = {
                 "l=1", "l=-1", f"l={MAX_LAYOUT + 1}", f"g={MAX_HEADER + 1}"],
                ["c1", "c3^2", "c0", "d1", "d2^-1", "delta1", "delta2",
                 "c(2,4)", "d(1,1)", "bd(F3)", "bd(F2,2)", "img(c1 c2; c3)",
-                "img(c(1,1); bd(F2))", "V1", "=", ";", "img(V1; c2)"]),
+                "img(c(1,1); bd(F2))", "V1", "=", ";", "img(V1; c2)",
+                # curves the surface lacks, and a spelling never printed
+                "c99", "d3", "c(2,99)", "d(5,1)", "bd(F9)", "c01"]),
     "@swap": ("l=0", ["l=1", "l=-1", f"l={MAX_LAYOUT + 1}"],
               ["rho(1,2)", "rho(2,4)^-1", "delta(1,3)", "rhoA(1,3; c1 c2^-1)",
                "sub(c1 d1^-1; F2)", "M(1)", "Mb", "rho(3,1)", "M(5)"]),

@@ -79,13 +79,6 @@ class TestEndo:
         assert endo_signature(11, 104) == Fraction(-1248, 23)
         assert endo_signature(5, 0) == 0
 
-    def test_separating_terms(self):
-        # one separating cycle of type j contributes 4j(g-j)/(2g+1) - 1
-        g = 4
-        base = endo_signature(g, 7)
-        with_sep = endo_signature(g, 7, (1, 0))
-        assert with_sep - base == Fraction(4 * 1 * (g - 1), 2 * g + 1) - 1
-
     def test_verdicts(self):
         assert hyperelliptic_obstruction(2, 20) == "Inconclusive"
         for m in range(26):
