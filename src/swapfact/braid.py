@@ -72,9 +72,6 @@ class BraidWord(Word):
         """Build a word from signed integers, e.g. [1, -2] -> b1 b2^-1."""
         return BraidWord(strands, ((abs(i), 1 if i > 0 else -1) for i in ints))
 
-    def to_ints(self) -> Tuple[int, ...]:
-        return tuple(i * s for i, s in self.letters)
-
     def exponent_sum(self) -> int:
         return sum(s for _, s in self.letters)
 

@@ -22,8 +22,9 @@ tokens, and a group's opener (img(, sub(, rhoA(i,j;), each ; and each )
 is a token of its own, so whitespace around them is optional; spaces and
 tabs next to the ( , ; or ) of a token's indices, as in c(2, 4), read as
 absent.  Tokens accept `^k` and `^-k` suffixes with |k| <= MAX_POWER, a
-group's ) too, and groups nest at most MAX_NESTING deep.  Printing is
-canonical (single spaces, no comments) and parse(print(d)) == d.
+group's ) too, groups nest at most MAX_NESTING deep, and a document
+stores at most MAX_LETTERS letters.  Printing is canonical (single
+spaces, no comments) and parse(print(d)) == d.
 Composition is right to left: the rightmost token acts first, annotated
 in printed headers to prevent convention drift.
 
@@ -58,7 +59,7 @@ from .framed import (FramedBraid, boundary_multitwist_framed, delta_framed,
                      rho_framed)
 from .surface import (MAX_LAYOUT, DerivedCurve, NamedCurve, SurfaceLayout,
                       SurfaceModel, TwistWord, curve_table)
-from .swaps import SwapWord
+from .swaps import SwapWord, expansion_size
 
 
 class ParseError(ValueError):
@@ -74,8 +75,19 @@ class Document(NamedTuple):
 
 
 # The largest |k| a ^k suffix may carry.  Powers are expanded into letters
-# while parsing, so the cap bounds the memory one token can ask for.
+# while parsing, so the cap bounds the letters one token can ask for.
 MAX_POWER = 1000
+
+# The most letters a document may store, counted before they are built:
+# the letters of its body after powers and of each conjugator read,
+# defined or inline; a @framed letter counts one plus its braid's letters,
+# so Mb counts 1 + n(n-1); a @swap letter counts one plus the letters its
+# expansion builds, conjugators' included (swaps.expansion_size).  The cap
+# bounds what a few bytes can make the parser, and expand, hold in memory.
+# The CLI's largest artifact, `generate boundary --l 22 --m 1000`, counts
+# 1,778,532.  Documents just under the cap peaked at 45-390 MB of RSS,
+# parsed and for @swap expanded, and 745 MB for verify's two @swap ones.
+MAX_LETTERS = 2_000_000
 
 # The largest n= or g= a header may carry.  They size what the tokens are
 # read into (strands, surface rank) before any token is read, so the cap
@@ -146,6 +158,16 @@ def _split_power(tok: str, line: int, col: int) -> Tuple[str, int]:
     return base, _exponent(exp if caret else None, line, col)
 
 
+def _spend(left: int, n: int, line: int, col: int) -> int:
+    """left, the letters the document may still store, less the n that
+    the token at line:col asks for; a ParseError when that is negative."""
+    left -= n
+    if left < 0:
+        raise ParseError(f"the document's letters exceed the cap "
+                         f"{MAX_LETTERS}", line, col)
+    return left
+
+
 def _repeat(generator, k: int) -> list:
     """The letters of generator^k."""
     return [(generator, 1 if k > 0 else -1)] * abs(k)
@@ -188,7 +210,7 @@ def _parse_braid(params, toks) -> BraidWord:
     n = params.get("n")
     if n is None:
         raise ParseError("braid header needs n=<strands>", 1, 1)
-    letters: list = []
+    letters, left = [], MAX_LETTERS
     for tok, ln, col in toks:
         base, k = _split_power(tok, ln, col)
         m = _BRAID_TOK.fullmatch(base)
@@ -197,6 +219,7 @@ def _parse_braid(params, toks) -> BraidWord:
         i = int(m.group(1))
         if not 1 <= i < n:
             raise ParseError(f"generator b{i} out of range for n={n}", ln, col)
+        left = _spend(left, abs(k), ln, col)
         letters.extend(_repeat(i, k))
     return BraidWord(n, letters)
 
@@ -214,7 +237,7 @@ _M_TOK = re.compile(r"M\((\d+)\)")
 
 def _parse_framed(params, toks) -> FramedBraid:
     n = params.get("n", 4)
-    factors = [framed_identity(n)]
+    factors, left = [framed_identity(n)], MAX_LETTERS
     for tok, ln, col in toks:
         base, k = _split_power(tok, ln, col)
         m = _PAIR_TOK.fullmatch(base)
@@ -231,6 +254,7 @@ def _parse_framed(params, toks) -> FramedBraid:
                 x = boundary_multitwist_framed(n)
         except ValueError as exc:
             raise ParseError(str(exc), ln, col) from None
+        left = _spend(left, abs(k) * (1 + len(x.underlying)), ln, col)
         factors.append(fpower(x, k))
     return fcompose(*factors)
 
@@ -311,10 +335,11 @@ _NAME = re.compile(r"V\d+")
 
 
 def _twist_word(surface: SurfaceModel, toks, words: dict, names: dict,
-                level: int, end: str | None = None, first=(), eof=None,
-                hint: str = ""):
+                left: int, level: int, end: str | None = None, first=(),
+                eof=None, hint: str = ""):
     """Read a twist word from first, then toks, up to its end token and
-    return the word, how deep its letters nest and the k of the end token.
+    return the word, how deep its letters nest, the k of the end token and
+    the letters the document may still store, left before the word.
     end is ; or ) for the body of a group, which level groups enclose, and
     None at the top level, which runs to the end of the text and alone may
     define names.  eof is the (message, line, column) of the error to raise
@@ -334,12 +359,12 @@ def _twist_word(surface: SurfaceModel, toks, words: dict, names: dict,
         if curve is not None:
             d = "(" in base
         elif base == end:
-            return TwistWord(surface, letters), depth, k
+            return TwistWord(surface, letters), depth, k, left
         elif tok == "img(":
             if level == MAX_NESTING:
                 raise ParseError(_TOO_DEEP, ln, col)
-            v, d = _conjugator(surface, toks, words, names, level + 1, ln,
-                               col, hint)
+            v, d, left = _conjugator(surface, toks, words, names, left,
+                                     level + 1, ln, col, hint)
             base, bl, bc = _take(toks, ln, col)
             curve = curves.get(base)
             if curve is None:
@@ -355,8 +380,10 @@ def _twist_word(surface: SurfaceModel, toks, words: dict, names: dict,
                 raise ParseError(f"{tok} is not followed by =", ln, col)
             if tok in names:
                 raise ParseError(f"{tok} is defined twice", ln, col)
-            v, d, _ = _twist_word(surface, toks, words, names, 0, ";", (), (
-                f"the definition of {tok} does not end with ;", ln, col), hint)
+            v, d, _, left = _twist_word(
+                surface, toks, words, names, left, 0, ";", (), (
+                    f"the definition of {tok} does not end with ;", ln, col),
+                hint)
             names[tok] = words.setdefault(v, v), d
             continue
         else:
@@ -364,15 +391,22 @@ def _twist_word(surface: SurfaceModel, toks, words: dict, names: dict,
         if level + d > MAX_NESTING:
             raise ParseError(_TOO_DEEP, ln, col)
         depth = max(depth, d)
-        letters.extend(_repeat(curve, k))
+        # _spend and _repeat inline: this loop reads every letter of an
+        # artifact, and the calls cost more than the count
+        n = abs(k)
+        left -= n
+        if left < 0:
+            _spend(left, 0, ln, col)
+        letters += [(curve, 1 if k > 0 else -1)] * n
     if eof:
         raise ParseError(*eof)
-    return TwistWord(surface, letters), depth, None
+    return TwistWord(surface, letters), depth, None, left
 
 
-def _conjugator(surface, toks, words, names, level, ln, col, hint):
-    """The conjugator of the img(...) letter opened at ln:col and its
-    depth, read up to its ;: a name defined before, or a twist word."""
+def _conjugator(surface, toks, words, names, left, level, ln, col, hint):
+    """The conjugator of the img(...) letter opened at ln:col, its depth
+    and the letters left, read up to its ;: a name defined before, or a
+    twist word."""
     first = [_take(toks, ln, col)]
     if _NAME.fullmatch(first[0][0]):
         first.append(_take(toks, ln, col))
@@ -381,10 +415,11 @@ def _conjugator(surface, toks, words, names, level, ln, col, hint):
             if name not in names:
                 raise ParseError(f"{name} is not defined before its use",
                                  nl, nc)
-            return names[name]
-    v, d, _ = _twist_word(surface, toks, words, names, level, ";", first,
-                          ("unbalanced parentheses", ln, col), hint)
-    return words.setdefault(v, v), d
+            return names[name] + (left,)
+    v, d, _, left = _twist_word(surface, toks, words, names, left, level,
+                                ";", first, ("unbalanced parentheses", ln,
+                                             col), hint)
+    return words.setdefault(v, v), d, left
 
 
 def _parse_twist(params, toks, conjugators=None) -> TwistWord:
@@ -395,8 +430,9 @@ def _parse_twist(params, toks, conjugators=None) -> TwistWord:
     surface = SurfaceModel(g, params.get("s", 2), layout)
     words = {} if conjugators is None else conjugators.setdefault(surface,
                                                                   {})
-    return _twist_word(surface, toks, words, {}, 0, hint="" if layout else
-                       "; a layout curve needs l=<l> in the @twist header")[0]
+    return _twist_word(surface, toks, words, {}, MAX_LETTERS, 0,
+                       hint="" if layout else "; a layout curve needs l=<l> "
+                       "in the @twist header")[0]
 
 
 def _print_twist_tokens(w: TwistWord, conjugator) -> List[str]:
@@ -440,10 +476,10 @@ def _print_twist(w: TwistWord) -> str:
 def _parse_swap(params, toks) -> SwapWord:
     layout = SurfaceLayout(params.get("l", 0))
     sub = layout.subsurface_model()
-    letters = []
+    letters, left = [], MAX_LETTERS
     for tok, ln, col in toks:
         if tok == "sub(":
-            a, _, _ = _twist_word(sub, toks, {}, {}, 1, ";", (), (
+            a, _, _, left = _twist_word(sub, toks, {}, {}, left, 1, ";", (), (
                 "unbalanced parentheses", ln, col))
             f, fl, fc = _take(toks, ln, col)
             m = re.fullmatch(r"F(\d+)", f)
@@ -460,7 +496,7 @@ def _parse_swap(params, toks) -> SwapWord:
             i, j = int(m.group(1)), int(m.group(2))
             if not 1 <= i < j <= 4:
                 raise ParseError(f"bad swap pair rhoA({i},{j})", ln, col)
-            a, _, k = _twist_word(sub, toks, {}, {}, 1, ")", (), (
+            a, _, k, left = _twist_word(sub, toks, {}, {}, left, 1, ")", (), (
                 "unbalanced parentheses", ln, col))
             v = SwapWord(layout, ((("sub", i, a), 1),))
             kind = ("conj", v, ("rho", i, j))
@@ -479,6 +515,8 @@ def _parse_swap(params, toks) -> SwapWord:
                 kind = ("Mb",)
             else:
                 raise ParseError(f"unknown swap token {base!r}", ln, col)
+        size = 1 + expansion_size(layout, kind)[1]
+        left = _spend(left, abs(k) * size, ln, col)
         letters.extend(_repeat(kind, k))
     return SwapWord(layout, letters)
 

@@ -17,12 +17,14 @@ carry the k-th chain curve of F_i to the k-th chain curve of F_j instead of
 reversing the chain.  Its certified band factorization (see lift) therefore
 transports to a positive twist expansion of every swap letter.
 
-Two verification tiers are provided: expand() maps swap words to twist words
-whose homology action is exact on H_1 of the ambient surface, and shadow()
-maps them to framed 4-braids, which by the structure of the layout determine
-compositions of plain swap maps completely.  Words mixing in subsurface
-classes are only constrained homologically (the shadow of an embedded class
-is trivial by construction).
+spell() writes each swap letter once, as conjugates V.p.V^-1 of primitives
+p: rho_{i,i+1}, M_i, Mb and sub.  Two verification tiers read it, each with
+its image of p and of V.  expand() maps swap words to twist words whose
+homology action is exact on H_1 of the ambient surface: rho_{i,i+1} to its
+lifted bands, M_i and Mb to the twists about their two boundary circles,
+sub to the embedded word.  shadow() maps them to framed 4-braids, which by
+the layout's structure determine compositions of plain swap maps fully:
+rho_framed, m_framed, the framed full twist, and the identity for sub.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .framed import (FramedBraid, boundary_multitwist_framed, fcompose,
                      finverse, framed_identity, m_framed, rho_framed)
 from .lift import lift, rho_band_factorization
 from .surface import (MAX_LAYOUT, DerivedCurve, NamedCurve, SurfaceLayout,
-                      TwistWord, UnknownCurve, twist)
+                      TwistWord, UnknownCurve)
 from .words import Word, compose
 
 
@@ -66,13 +68,13 @@ def embed(word: TwistWord, i: int, layout: SurfaceLayout) -> TwistWord:
 # Swap words
 # ---------------------------------------------------------------------------
 #
-# Letter kinds (each letter is (kind, sign)):
-#   ('rho', i, j)            swap of F_i and F_j (adjacent pairs primitive,
-#                            the rest spelled by conjugation)
-#   ('delta', i, j)          the uncorrected half-twist swap
-#   ('M', i)                 boundary multitwist of F_i
-#   ('Mb',)                  boundary multitwist of the ambient surface
-#   ('sub', i, A)            A in Gamma_{2+l}^2 embedded on F_i
+# Letter kinds (each letter is (kind, sign)), as spell() writes them:
+#   ('rho', i, j)            swap of F_i and F_j: primitive for j = i+1,
+#                            else rho_{i,i+1}^-1 . rho_{i+1,j} . rho_{i,i+1}
+#   ('delta', i, j)          the uncorrected half-twist rho_ij . M_j . M_i
+#   ('M', i)                 boundary multitwist of F_i: primitive
+#   ('Mb',)                  boundary multitwist of the ambient: primitive
+#   ('sub', i, A)            A in Gamma_{2+l}^2 embedded on F_i: primitive
 #   ('conj', V, kind)        V . letter(kind) . V^-1 for a SwapWord V
 
 
@@ -98,6 +100,26 @@ def rho(layout: SurfaceLayout, i: int, j: int, sign: int = 1) -> SwapWord:
     if not 1 <= i < j <= 4:
         raise ValueError(f"bad swap pair ({i}, {j})")
     return swap_letter(layout, ("rho", i, j), sign)
+
+
+def spell(layout: SurfaceLayout, kind: tuple) -> list:
+    """The positive letter as pairs (V, p), the product of the V . p . V^-1
+    for primitive kinds p and SwapWords V (p alone for V None)."""
+    name = kind[0]
+    if name == "rho" and kind[2] > kind[1] + 1:
+        _, i, j = kind
+        v, inner = rho(layout, i, i + 1, -1), ("rho", i + 1, j)
+    elif name == "conj":
+        _, v, inner = kind
+    elif name == "delta":
+        _, i, j = kind
+        return spell(layout, ("rho", i, j)) + [(None, ("M", j)),
+                                               (None, ("M", i))]
+    elif name in ("rho", "M", "Mb", "sub"):
+        return [(None, kind)]
+    else:
+        raise ValueError(f"unknown swap letter kind {kind!r}")
+    return [(v if w is None else v * w, p) for w, p in spell(layout, inner)]
 
 
 # --- expansion to twist words ----------------------------------------------
@@ -129,66 +151,37 @@ def _rho_expansions(l: int) -> Tuple[TwistWord, ...]:
     return tuple(out)
 
 
-def _expand_positive_kind(layout: SurfaceLayout, kind: tuple) -> TwistWord:
-    surface = layout.ambient_model()
-    name = kind[0]
-    if name == "rho":
-        _, i, j = kind
-        if j == i + 1:
-            return _rho_expansions(layout.l)[i - 1]
-        step = rho(layout, i, i + 1)
-        inner = expand(SwapWord(layout, ((("rho", i + 1, j), 1),)))
-        return inner.conjugate_letters(expand(step.inverse()))
-    if name == "delta":
-        _, i, j = kind
-        return compose(
-            _expand_positive_kind(layout, ("rho", i, j)),
-            _expand_positive_kind(layout, ("M", j)),
-            _expand_positive_kind(layout, ("M", i)))
-    if name == "M":
-        _, i = kind
-        return (twist(surface, NamedCurve(("subboundary", i, 1)))
-                * twist(surface, NamedCurve(("subboundary", i, 2))))
-    if name == "Mb":
-        return (twist(surface, NamedCurve(("boundary", 1)))
-                * twist(surface, NamedCurve(("boundary", 2))))
-    if name == "sub":
-        _, i, a_word = kind
-        return embed(a_word, i, layout)
-    if name == "conj":
-        _, v, inner = kind
-        return _expand_positive_kind(layout, inner).conjugate_letters(expand(v))
-    raise ValueError(f"unknown swap letter kind {kind!r}")
+# --- the two tiers ---------------------------------------------------------
+
+# Each tier's image of each primitive, from the layout and its arguments.
+_TWIST_IMAGES = {
+    "rho": lambda layout, i, j: _rho_expansions(layout.l)[i - 1],
+    "M": lambda layout, i: TwistWord(layout.ambient_model(), (
+        (NamedCurve(("subboundary", i, k)), 1) for k in (1, 2))),
+    "Mb": lambda layout: TwistWord(layout.ambient_model(), (
+        (NamedCurve(("boundary", k)), 1) for k in (1, 2))),
+    "sub": lambda layout, i, a_word: embed(a_word, i, layout),
+}
+_FRAMED_IMAGES = {
+    "rho": lambda layout, i, j: rho_framed(i, j),
+    "M": lambda layout, i: m_framed(i),
+    "Mb": lambda layout: boundary_multitwist_framed(4),
+    "sub": lambda layout, i, a_word: framed_identity(4),
+}
 
 
 def expand(word: SwapWord) -> TwistWord:
     """Twist-word expansion; positive swap letters expand to all-positive
     twist letters and the letter counts are exact bookkeeping."""
-    return compose(TwistWord(word.layout.ambient_model()), *[
-        _expand_positive_kind(word.layout, kind).power(sign)
-        for kind, sign in word.letters])
-
-
-# --- framed shadow ----------------------------------------------------------
-
-def _shadow_positive_kind(layout: SurfaceLayout, kind: tuple) -> FramedBraid:
-    name = kind[0]
-    if name == "rho":
-        return rho_framed(kind[1], kind[2])
-    if name == "delta":
-        _, i, j = kind
-        return fcompose(rho_framed(i, j), m_framed(j), m_framed(i))
-    if name == "M":
-        return m_framed(kind[1])
-    if name == "Mb":
-        return boundary_multitwist_framed(4)
-    if name == "sub":
-        return framed_identity(4)
-    if name == "conj":
-        _, v, inner = kind
-        sv = shadow(v)
-        return fcompose(sv, _shadow_positive_kind(layout, inner), finverse(sv))
-    raise ValueError(f"unknown swap letter kind {kind!r}")
+    layout = word.layout
+    letters = [TwistWord(layout.ambient_model())]
+    for kind, sign in word.letters:
+        pieces = []
+        for v, (name, *args) in spell(layout, kind):
+            x = _TWIST_IMAGES[name](layout, *args)
+            pieces.append(x if v is None else x.conjugate_letters(expand(v)))
+        letters.append(compose(*pieces).power(sign))
+    return compose(*letters)
 
 
 def shadow(word: SwapWord) -> FramedBraid:
@@ -196,21 +189,71 @@ def shadow(word: SwapWord) -> FramedBraid:
     letters; embedded subsurface classes shadow to the identity."""
     factors = [framed_identity(4)]
     for kind, sign in word.letters:
-        s = _shadow_positive_kind(word.layout, kind)
+        pieces = []
+        for v, (name, *args) in spell(word.layout, kind):
+            x = _FRAMED_IMAGES[name](word.layout, *args)
+            if v is not None:
+                x = fcompose(sv := shadow(v), x, finverse(sv))
+            pieces.append(x)
+        s = fcompose(*pieces)
         factors.append(s if sign > 0 else finverse(s))
     return fcompose(*factors)
 
 
 def has_subsurface_letters(word: SwapWord) -> bool:
-    """Whether a sub letter occurs anywhere in the word, inside the
-    conjugators of conj and rhoA letters too: the letters the shadow
-    cannot see."""
-    stack = [kind for kind, _ in word.letters]
-    while stack:
-        kind = stack.pop()
-        if kind[0] == "sub":
-            return True
-        if kind[0] == "conj":
-            stack.append(kind[2])
-            stack.extend(k for k, _ in kind[1].letters)
-    return False
+    """Whether a sub letter occurs anywhere in the word, conjugators
+    included: the letters the shadow cannot see."""
+    return any(p[0] == "sub" or (v is not None and has_subsurface_letters(v))
+               for kind, _ in word.letters
+               for v, p in spell(word.layout, kind))
+
+
+# --- expansion sizes --------------------------------------------------------
+
+def _tree_size(word: TwistWord) -> int:
+    """The letters of the word and, once per letter that carries it, those
+    of its conjugator, recursively: the letters embed builds."""
+    memo: dict = {}
+
+    def size(w: TwistWord) -> int:
+        n = len(w)
+        for curve, _ in w.letters:
+            if isinstance(curve, DerivedCurve):
+                c = curve.conjugator
+                if id(c) not in memo:
+                    memo[id(c)] = size(c)
+                n += memo[id(c)]
+        return n
+
+    return size(word)
+
+
+def _rho_sizes(l: int, i: int) -> Tuple[int, int, int]:
+    w = _rho_expansions(l)[i - 1]
+    return len(w), len(w), _tree_size(w)
+
+
+# Per primitive: its twist letters t, the letters b expand builds for it
+# unconjugated, and the letters c (twists and their conjugators) that
+# conjugating its image copies.  The rho images are built once per layout.
+_SIZES = {
+    "rho": lambda layout, i, j: _rho_sizes(layout.l, i),
+    "M": lambda layout, i: (2, 2, 2),
+    "Mb": lambda layout: (2, 2, 2),
+    "sub": lambda layout, i, a: (len(a),) + (_tree_size(a),) * 2,
+}
+
+
+def expansion_size(layout: SurfaceLayout, kind: tuple) -> Tuple[int, int]:
+    """The twist letters of expand of the positive letter kind, and a bound
+    on the letters that expand builds for it, counted before building:
+    V . p . V^-1 builds V's expansion and a conjugator for each letter of
+    p's image, as long as V's expansion and the letter's own conjugator."""
+    twists = built = 0
+    for v, (name, *args) in spell(layout, kind):
+        t, b, c = _SIZES[name](layout, *args)
+        if v is not None:
+            sizes = [expansion_size(layout, k) for k, _ in v.letters]
+            b += c + sum(s for _, s in sizes) + t * sum(n for n, _ in sizes)
+        twists, built = twists + t, built + b
+    return twists, built

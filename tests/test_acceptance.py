@@ -27,6 +27,7 @@ from swapfact.lift import band_word, rho_band_factorization, swap_braid_target
 from swapfact.surface import HomologyCalculator, SurfaceModel
 from swapfact.swaps import SurfaceLayout
 
+from braid_ints import to_ints
 from homology_oracle import first_homology, smith_normal_form_oracle
 from mod2_model import h1_dimension, matches_blocks, vanishing_cycles
 from swap_calculus import boundary_verdicts, framed_relations
@@ -50,7 +51,7 @@ def test_criterion_01_braid_kernel_oracle_equivalence():
         w1 = mk()
         if k % 3 == 0:
             # engineered equal pair: insert relators into w1
-            ints = list(w1.to_ints())
+            ints = list(to_ints(w1))
             for _ in range(rng.randint(1, 5)):
                 i = rng.randint(1, n - 2)
                 p = rng.randint(0, len(ints))

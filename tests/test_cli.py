@@ -4,6 +4,7 @@ import io
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -17,10 +18,14 @@ from swapfact.braid import BraidWord
 from swapfact.cli import MAX_GENUS, main
 from swapfact.constructions import (boundary_multitwist_factorization,
                                     extend_to_genus)
-from swapfact.dsl import (MAX_HEADER, MAX_NESTING, MAX_POWER, Document,
-                          ParseError, _tokenize, parse, print_document)
+from swapfact.dsl import (MAX_HEADER, MAX_LETTERS, MAX_NESTING, MAX_POWER,
+                          Document, ParseError, _tokenize, parse,
+                          print_document)
 from swapfact.framed import FramedBraid
-from swapfact.surface import MAX_LAYOUT, HomologyCalculator, SurfaceLayout
+from swapfact.surface import (MAX_LAYOUT, DerivedCurve, HomologyCalculator,
+                              SurfaceLayout)
+
+from braid_ints import to_ints
 
 
 def run(args, capsys):
@@ -216,7 +221,7 @@ class TestDSL:
     def test_braid_round_trip(self):
         d = parse("@braid n=3\nb1 b2 b1")
         assert isinstance(d.value, BraidWord)
-        assert d.value.to_ints() == (1, 2, 1)
+        assert to_ints(d.value) == (1, 2, 1)
         assert parse(print_document(d)).value == d.value
 
     def test_phi_file(self):
@@ -231,12 +236,12 @@ class TestDSL:
 
     def test_comments_dropped(self):
         d = parse("@braid n=3\nb1 # a comment\nb2")
-        assert d.value.to_ints() == (1, 2)
+        assert to_ints(d.value) == (1, 2)
         assert "#" not in print_document(d)
 
     def test_powers(self):
         d = parse("@braid n=4\nb1^3 b2^-2")
-        assert d.value.to_ints() == (1, 1, 1, -2, -2)
+        assert to_ints(d.value) == (1, 1, 1, -2, -2)
 
     def test_twist_tokens(self):
         text = ("@twist g=11 s=2 l=0\nc3 d1^-1 delta1 c(2,4) bd(F3) "
@@ -269,7 +274,7 @@ class TestDSL:
 
     def test_power_at_cap_expands(self):
         d = parse(f"@braid n=3\nb1^-{MAX_POWER}")
-        assert d.value.to_ints() == (-1,) * MAX_POWER
+        assert to_ints(d.value) == (-1,) * MAX_POWER
 
     def test_twist_layout_round_trip(self):
         inline = ("@twist g=16 s=2 l=1\nc(2,4) d(1,2) bd(F3) bd(F2,2) c33 "
@@ -305,7 +310,7 @@ class TestDSL:
         assert code == 1 and "parse error" in err
 
     def test_header_is_read_from_its_line_only(self):
-        assert parse("@braid n=3 b1 b2").value.to_ints() == (1, 2)
+        assert to_ints(parse("@braid n=3 b1 b2").value) == (1, 2)
         with pytest.raises(ParseError, match="unknown braid token"):
             parse("@braid n=3\nn=4 b1")
 
@@ -1162,3 +1167,89 @@ class TestDSLSwapLetters:
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
             parse("@swap l=0\nrhoA(1,3; c1")
+
+
+# A few bytes that once made the reader build millions of letters: an n=100
+# full twist (9,900 braid letters) a thousand times, twenty such tokens, and
+# a 5,000-letter subsurface word whose thousand copies expand to 5 M twist
+# letters.
+_LETTER_BOMBS = [
+    "@framed n=100\nMb^1000",
+    "@framed n=100\n" + "Mb^1000 " * 20,
+    "@swap l=0\nsub(" + "c1^1000 " * 5 + "; F1)^1000",
+]
+
+
+def _stored_letters(word) -> int:
+    """The letters of the word and of each distinct conjugator under it,
+    counted once: what its printed @twist document spells."""
+    seen, n, stack = set(), len(word), [word]
+    while stack:
+        for curve, _ in stack.pop().letters:
+            if isinstance(curve, DerivedCurve) and curve.conjugator not in seen:
+                seen.add(curve.conjugator)
+                n += len(curve.conjugator)
+                stack.append(curve.conjugator)
+    return n
+
+
+class TestLetterCap:
+    @pytest.mark.parametrize("text", _LETTER_BOMBS, ids=[
+        "one_full_twist", "twenty_full_twists", "sub_expansion"])
+    def test_bomb_exits_1_fast_in_bounded_memory(self, tmp_path, text):
+        f = tmp_path / "w.txt"
+        f.write_text(text + "\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+
+        def one_gigabyte():
+            resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "swapfact.cli", "verify", str(f), str(f)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src}, preexec_fn=one_gigabyte)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ("parse error: 2:1: the document's letters "
+                               f"exceed the cap {MAX_LETTERS}\n")
+
+    @pytest.mark.parametrize("text,count", [
+        ("@braid n=3\nb1^4 b2^-3", 7),
+        # a definition's letters count once, however often it is used
+        ("@twist g=2 s=2\nV1 = c1^3 ;\nimg(V1; c2)^2 c1", 6),
+        # an inline conjugator's letters count at each occurrence
+        ("@twist g=2 s=2\nimg(c1^3; c2)^2 img(c1^3; c2)", 9),
+        # one per letter plus its braid's: rho(1,3) has 3, Mb at n=4 12
+        ("@framed n=4\nrho(1,3)^2 M(1)^-2 Mb", 23),
+        # one per letter plus the letters its expansion builds
+        ("@swap l=0\nM(1)^3 Mb^-1", 12),
+        ("@swap l=0\nrho(1,2)", 7),
+        ("@swap l=0\nsub(c1^2 c2; F1)^2", 11),
+    ])
+    def test_counting(self, monkeypatch, text, count):
+        monkeypatch.setattr(dsl, "MAX_LETTERS", count)
+        parse(text)
+        monkeypatch.setattr(dsl, "MAX_LETTERS", count - 1)
+        with pytest.raises(ParseError, match="exceed the cap"):
+            parse(text)
+
+    def test_document_at_the_cap_parses(self):
+        body = "b1^1000 " * (MAX_LETTERS // 1000)
+        assert len(parse(f"@braid n=3\n{body}").value) == MAX_LETTERS
+        with pytest.raises(ParseError) as err:
+            parse(f"@braid n=3\n{body}b2")
+        assert (err.value.line, err.value.column) == (2, len(body) + 1)
+
+    def test_largest_artifacts_fit_under_the_cap(self, monkeypatch):
+        word = boundary_multitwist_factorization(20, 2).word
+        text = print_document(Document("twist", word))
+        monkeypatch.setattr(dsl, "MAX_LETTERS", _stored_letters(word))
+        assert parse(text).value == word
+        monkeypatch.setattr(dsl, "MAX_LETTERS", _stored_letters(word) - 1)
+        with pytest.raises(ParseError, match="exceed the cap"):
+            parse(text)
+        monkeypatch.undo()
+        boundary = boundary_multitwist_factorization(MAX_POWER, MAX_LAYOUT)
+        extension = extend_to_genus(
+            MAX_GENUS, boundary_multitwist_factorization(MAX_POWER))
+        assert _stored_letters(boundary.word) == 1_778_532 < MAX_LETTERS
+        assert _stored_letters(extension.word) < MAX_LETTERS

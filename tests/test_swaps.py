@@ -2,15 +2,20 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swapfact import swaps as swaps_mod
+from swapfact.dsl import parse
 from swapfact.framed import framed_equal, framed_identity
 from swapfact.surface import NamedCurve, TwistWord, twist
-from swapfact.swaps import (SurfaceLayout, SwapWord, embed, expand, rho,
-                            shadow, swap_letter)
+from swapfact.swaps import (SurfaceLayout, SwapWord, embed, expand,
+                            expansion_size, rho, shadow, spell, swap_letter)
 from swapfact.words import compose
 
 from swap_calculus import conjugation_rules, rho_conjugated
+
+
+PAIRS = [(1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4)]
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +87,47 @@ class TestEmbed:
         assert calc.verify_homologically(lhs, rhs)
 
 
+class TestSpelling:
+    def test_unknown_kinds_raise(self, layout):
+        for kind in [("tau",), ("conj", rho(layout, 1, 2), ("tau",))]:
+            for read in (lambda w: spell(layout, kind), expand, shadow):
+                with pytest.raises(ValueError, match="unknown swap letter"):
+                    read(swap_letter(layout, kind))
+
+    def test_primitives_spell_themselves(self, layout):
+        a = sub_twist(layout, ("chain", 1))
+        for kind in [("rho", 1, 2), ("M", 3), ("Mb",), ("sub", 2, a)]:
+            assert spell(layout, kind) == [(None, kind)]
+
+    def test_rho14_conjugates_by_both_steps(self, layout):
+        (v, p), = spell(layout, ("rho", 1, 4))
+        assert p == ("rho", 3, 4)
+        assert v == rho(layout, 1, 2, -1) * rho(layout, 2, 3, -1)
+
+    def test_conj_composes_conjugators(self, layout):
+        v = rho(layout, 3, 4)
+        kind = ("conj", v, ("delta", 1, 3))
+        assert spell(layout, kind) == [
+            (v * rho(layout, 1, 2, -1), ("rho", 2, 3)),
+            (v, ("M", 3)), (v, ("M", 1))]
+
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_expansion_size_counts_twist_letters(self, l):
+        lay = SurfaceLayout(l)
+        letters = parse(f"@swap l={l}\nsub(c1 img(c2; d1)^-1; F3) "
+                        "rhoA(1,3; c1 img(c2 img(c1; c3); d1))").value.letters
+        kinds = ([("rho", *p) for p in PAIRS] + [("delta", *p) for p in PAIRS]
+                 + [("M", 2), ("Mb",), ("conj", rho(lay, 2, 3, -1),
+                                         ("delta", 1, 4))]
+                 + [kind for kind, _ in letters])
+        for kind in kinds:
+            twists, built = expansion_size(lay, kind)
+            assert twists == len(expand(swap_letter(lay, kind)))
+            assert built >= twists
+
+
 class TestExpand:
-    @pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 4), (1, 3), (2, 4)])
+    @pytest.mark.parametrize("pair", PAIRS)
     def test_positive_letter_counts(self, layout, pair):
         w = expand(rho(layout, *pair))
         assert len(w) == 6 and w.is_positive()
@@ -126,16 +170,41 @@ class TestTwoTierRelations:
         assert self.sh_eq(lhs, rhs)
 
     def test_conjugation_spellings_agree(self, layout):
-        r12, r23, r34 = (rho(layout, *p) for p in [(1, 2), (2, 3), (3, 4)])
-        pairs = [
-            (r12.inverse() * r23 * r12, r23 * r12 * r23.inverse()),
-            (r23.inverse() * r34 * r23, r34 * r23 * r34.inverse()),
-            (rho(layout, 1, 3), r12.inverse() * r23 * r12),
-            (rho(layout, 2, 4), r23.inverse() * r34 * r23),
-        ]
-        for lhs, rhs in pairs:
-            assert self.hom_eq(layout, lhs, rhs)
-            assert self.sh_eq(lhs, rhs)
+        for lay in (layout, SurfaceLayout(1)):
+            r12, r23, r34 = (rho(lay, *p) for p in [(1, 2), (2, 3), (3, 4)])
+            pairs = [
+                (r12.inverse() * r23 * r12, r23 * r12 * r23.inverse()),
+                (r23.inverse() * r34 * r23, r34 * r23 * r34.inverse()),
+                (rho(lay, 1, 3), r12.inverse() * r23 * r12),
+                (rho(lay, 2, 4), r23.inverse() * r34 * r23),
+                (rho(lay, 1, 4), r12.inverse() * rho(lay, 2, 4) * r12),
+            ]
+            for lhs, rhs in pairs:
+                assert self.hom_eq(lay, lhs, rhs)
+                assert self.sh_eq(lhs, rhs)
+
+    @pytest.mark.parametrize("l", [0, 1])
+    @pytest.mark.parametrize("i,j", PAIRS)
+    def test_delta_is_rho_then_both_multitwists(self, l, i, j):
+        lay = SurfaceLayout(l)
+        spelled = (rho(lay, i, j) * swap_letter(lay, ("M", j))
+                   * swap_letter(lay, ("M", i)))
+        delta = swap_letter(lay, ("delta", i, j))
+        assert expand(delta).letters == expand(spelled).letters
+        assert self.sh_eq(delta, spelled)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from([f"rho({i},{j})" for i, j in PAIRS]
+                        + [f"delta({i},{i + 1})" for i in (1, 2, 3)]
+                        + [f"M({i})" for i in (1, 2, 3, 4)] + ["Mb"]),
+        st.integers(-3, 3)), max_size=8))
+    def test_shadow_matches_the_framed_reader(self, tokens):
+        # the @framed reader spells rho and delta in framed.py; the shadow
+        # reads the swap spelling: two statements of the same rules
+        body = " ".join(f"{t}^{k}" for t, k in tokens)
+        swap = parse(f"@swap l=0\n{body}").value
+        assert framed_equal(shadow(swap), parse(f"@framed n=4\n{body}").value)
 
     def test_far_commutation(self, layout):
         r12, r34 = rho(layout, 1, 2), rho(layout, 3, 4)
@@ -143,14 +212,15 @@ class TestTwoTierRelations:
         assert self.sh_eq(r12 * r34, r34 * r12)
 
     def test_rho_squared_boundary_relation(self, layout):
-        r12 = rho(layout, 1, 2)
-        d12 = swap_letter(layout, ("delta", 1, 2))
-        m1 = swap_letter(layout, ("M", 1))
-        m2 = swap_letter(layout, ("M", 2))
-        lhs = r12 * r12
-        rhs = d12 * d12 * m1.power(-2) * m2.power(-2)
-        assert self.hom_eq(layout, lhs, rhs)
-        assert self.sh_eq(lhs, rhs)
+        for i, j in PAIRS:
+            r = rho(layout, i, j)
+            d = swap_letter(layout, ("delta", i, j))
+            mi = swap_letter(layout, ("M", i))
+            mj = swap_letter(layout, ("M", j))
+            lhs = r * r
+            rhs = d * d * mi.power(-2) * mj.power(-2)
+            assert self.hom_eq(layout, lhs, rhs)
+            assert self.sh_eq(lhs, rhs)
 
     def test_swap_homomorphism_to_shadow(self, layout):
         import random
