@@ -11,16 +11,19 @@ Two independent decision procedures for the word problem are provided:
 * :func:`normal_form` computes the left-greedy Garside normal form
   Delta^p . A_1 ... A_k with permutation-braid factors, without tabulating
   the symmetric group, so it works for any strand count we need (up to
-  B_100 here, for the band certificate at the layout cap).  The word is
-  cut into maximal runs of one sign whose positive part is a permutation
-  braid, and each run becomes one simple factor.  The form is built
-  incrementally (Epstein et al., *Word Processing in Groups*, ch. 9):
-  each run's factor is appended and left-weighted backwards until a pair
-  is already left-weighted or a factor becomes Delta, which leaves for the
-  front at once.  A pair visited costs O(n) plus O(1) per crossing moved,
-  and on seeded random words of either sign the visits per letter stay
-  flat in B_4 and grow slowly in B_24 as the word grows, so the normal
-  form takes near-linear time in practice.
+  B_100 here, for the band certificate at the layout cap).  One pass
+  first cancels each b_i^s against a b_i^-s behind only letters that
+  commute with b_i (free cancellation in the free partially commutative
+  group), and the rest is cut into maximal runs of one sign whose positive
+  part is a permutation braid, each run one simple factor.  The form is
+  built incrementally (Epstein et al., *Word Processing in Groups*, ch.
+  9): each run's factor is appended and left-weighted backwards until a
+  pair is already left-weighted or a factor becomes Delta, which leaves
+  for the front at once.  A pair visited costs O(n) plus O(1) per crossing
+  moved, and on seeded random words of either sign the visits per letter
+  stay flat in B_4 (about 1.0) and grow slowly in B_24 as the word grows
+  (3.7 to 4.5 at 1,000 to 4,000 letters), so the normal form takes
+  near-linear time in practice.
 * :func:`dynnikov_equal` acts on integer laminations of the punctured disk
   via the Dynnikov coordinate update rules.  The action cannot see the
   central full twists, so the test also compares exponent sums, which is
@@ -132,7 +135,15 @@ def band(i: int, conjugator: BraidWord) -> BraidWord:
 #   finishing set F(A) = {i : A = A' . b_i}  = descents of A
 # and a pair (A, B) is left-weighted iff S(B) is a subset of F(A).
 #
-# A word is first cut into runs, each of which is Delta^e . X with X
+# A word first loses its far-commuting inverse pairs: read left to right, a
+# letter b_i^s cancels against the last live letter it does not commute
+# with (the latest b_{i-1}, b_i or b_{i+1}) when that is b_i^-s.  This is
+# free cancellation in the group where only far generators commute, so the
+# element, and with it the normal form, stays the same.  Flat arrays make
+# it O(1) per letter (see `_cancel_far`); rescanning backwards and deleting
+# in place is quadratic on b1^K (b3 b5 ... b99)^M b1^-K.
+#
+# The word is then cut into runs, each of which is Delta^e . X with X
 # simple.  A maximal run of positive letters whose product P stays a
 # permutation braid is P itself, with e = 0.  A maximal run of negative
 # letters b_i1^-1 ... b_ik^-1 is P^-1 with P = b_ik ... b_i1 simple, and
@@ -165,12 +176,15 @@ def band(i: int, conjugator: BraidWord) -> BraidWord:
 # The exit is what keeps passes short on mixed-sign words: each negative
 # run leaves a complement factor, the Deltas these assemble form at the
 # right end, and walking each back through all k factors made such words
-# quadratic.  With it and the runs, seeded random words of L = 2,000 to
-# 8,000 letters cost about 2 `_left_weight` calls per letter in B_4 and 6
-# to 8 in B_24 if mixed-sign, and 1.4 in B_24 if positive.  Words made of
-# long runs gain most from the runs: the band certificate of
+# quadratic.  With it, the runs and the far cancellation, seeded random
+# words of L = 2,000 to 8,000 letters cost about 1.0 `_left_weight` calls
+# per letter in B_4 and 3.4 to 5.6 in B_24 if mixed-sign (2.0, and 5.6 to
+# 8.2, without the cancellation), and 1.4 to 1.5 in B_24 if positive.
+# Words made of long runs gain most from the runs: the band certificate of
 # `lift.rho_band_factorization` at g' = 24 (B_100) takes 392 calls,
-# against 22,146 with one factor per letter.
+# against 22,146 with one factor per letter.  The cancellation cannot help
+# runs of neighbouring generators: (b1^1000 b2^-1000)^r in B_4 still costs
+# 250(r + 1) + 1 calls per letter.
 
 
 def pmul(p: Perm, q: Perm) -> Perm:
@@ -232,6 +246,32 @@ def _left_weight(a: list[int], b: list[int]) -> bool:
     return moved
 
 
+def _cancel_far(letters: Iterable[Tuple[int, int]],
+                n: int) -> list[Tuple[int, int]]:
+    """The letters without any b_i^s ... b_i^-s whose letters between all
+    commute with b_i, in one left-to-right pass (see the comment above).
+
+    A cancelled letter becomes a tombstone, None.  `last` holds each
+    generator's last live index and `below` each kept letter's previous
+    live index of its generator, so a cancellation rewinds its generator in
+    O(1) and the pairs it brings together cancel in turn.
+    """
+    kept: list = []
+    below: list[int] = []
+    last = [-1] * (n + 1)
+    for letter in letters:
+        i = letter[0]
+        k = last[i]
+        if k > last[i - 1] and k > last[i + 1] and kept[k][1] != letter[1]:
+            kept[k] = None
+            last[i] = below[k]
+        else:
+            below.append(k)
+            last[i] = len(kept)
+            kept.append(letter)
+    return [x for x in kept if x is not None]
+
+
 def normal_form(w: BraidWord) -> GarsideNormalForm:
     """Left-greedy Garside normal form; canonical for the word problem."""
     n = w.strands
@@ -240,17 +280,19 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     ident = list(range(n))
     rev = ident[::-1]
 
-    # Cut the word, right to left, into the runs described above, each
-    # Delta^e . X, and push all Delta powers to the front:
-    # X . Delta^e = Delta^e . tau^e(X).  `run` holds P^-1 for a positive
-    # run (b_i . P swaps positions i-1, i of P^-1) and P for a negative one
-    # (P . b_i swaps those of P); either way the letter keeps P simple iff
-    # run[i-1] < run[i].  The sentinel letter ends the last run.
+    # Cancel the far-commuting inverse letters, then cut the word, right to
+    # left, into the runs described above, each Delta^e . X, and push all
+    # Delta powers to the front: X . Delta^e = Delta^e . tau^e(X).  `run`
+    # holds P^-1 for a positive run (b_i . P swaps positions i-1, i of
+    # P^-1) and P for a negative one (P . b_i swaps those of P); either way
+    # the letter keeps P simple iff run[i-1] < run[i].  The sentinel letter
+    # ends the last run.
     simples: list[Perm] = []
     infimum = 0
     run: list[int] = []
     run_sign = 0
-    for i, sign in itertools.chain(reversed(w.letters), ((1, None),)):
+    for i, sign in itertools.chain(reversed(_cancel_far(w.letters, n)),
+                                   ((1, None),)):
         if sign == run_sign and run[i - 1] < run[i]:
             run[i - 1], run[i] = run[i], run[i - 1]
             continue

@@ -7,13 +7,15 @@ Commands:
     verify FILE1 FILE2 [--tier ...]  compare two word files
     invariants FILE                  fibration invariant report
 
-Exit codes: 0 pass, 1 usage or parse error, 2 relation refuted,
-3 requested tier cannot decide the comparison.
+Exit codes: 0 pass, 1 usage or parse error, or a report whose reader
+closed the pipe, 2 relation refuted, 3 requested tier cannot decide the
+comparison.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import NamedTuple
 
@@ -288,9 +290,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if report is not None:
-        print(f"schema: {REPORT_SCHEMA}")
-        for key, value in report:
-            print(f"{key}: {value}")
+        try:
+            print(f"schema: {REPORT_SCHEMA}")
+            for key, value in report:
+                print(f"{key}: {value}")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left (`| head`): point stdout at devnull so that
+            # the flush at interpreter exit does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return code
 
 

@@ -164,24 +164,48 @@ class TestGarside:
     def test_left_weight_calls_per_letter_stay_flat(self, monkeypatch):
         # Each Delta the factors assemble forms at the right end.  Carried
         # back through every factor, it made these mixed-sign B_4 words
-        # cost 105 calls per letter at 2,000 letters and 365 at 8,000.
-        per_letter = left_weight_calls_per_letter(monkeypatch, 4,
-                                                  (2000, 8000))
+        # cost 105 calls per letter at 2,000 letters and 365 at 8,000; they
+        # cost about 1.0 at both, and 2.0 before far-commuting inverse
+        # letters were cancelled first.
+        per_letter = left_weight_calls_per_letter(
+            monkeypatch, seeded_words(4, (2000, 8000)))
         assert per_letter[1] < 1.25 * per_letter[0], per_letter
 
     def test_left_weight_calls_per_letter_stay_flat_in_b24(self,
                                                            monkeypatch):
-        # Wide simple factors: these words make about 5.8 calls per letter
-        # at 1,000 letters and 6.9 at 4,000; a pass quadratic in the number
-        # of factors would multiply the ratio several times.
-        per_letter = left_weight_calls_per_letter(monkeypatch, 24,
-                                                  (1000, 4000))
+        # Wide simple factors: these words make about 3.7 calls per letter
+        # at 1,000 letters and 4.5 at 4,000 (5.8 and 6.9 before far
+        # cancellation); a pass quadratic in the number of factors would
+        # multiply the ratio several times.
+        per_letter = left_weight_calls_per_letter(
+            monkeypatch, seeded_words(24, (1000, 4000)))
         assert per_letter[1] < 1.5 * per_letter[0], per_letter
 
+    def test_far_cancellation_empties_long_one_sign_runs(self, monkeypatch):
+        # b1^K (b3 b5 ... b39)^M b1^-K: each negative b1 is a run of its own
+        # whose Delta^-1 walks back through the K positive factors.  The
+        # middle commutes with b1, so the b1 letters cancel and only its M
+        # factors are left, one call each.  At n = 100, K = 100,000 and
+        # M = 2,000 the normal form did not finish within 60 s before far
+        # cancellation, and takes under a second with it.
+        n, k, m = 40, 5000, 500
+        middle = list(range(3, n, 2)) * m
+        word = W(n, *[1] * k, *middle, *[-1] * k)
+        assert len(word) == 19_500
+        assert normal_form(word) == normal_form(W(n, *middle))
+        per_letter, = left_weight_calls_per_letter(monkeypatch, [word])
+        assert per_letter < 1, per_letter
 
-def left_weight_calls_per_letter(monkeypatch, n, lengths):
+
+def seeded_words(n, lengths):
+    """A seeded mixed-sign word in B_n of each length."""
+    return [random_word(random.Random(length), n, length)
+            for length in lengths]
+
+
+def left_weight_calls_per_letter(monkeypatch, words):
     """Calls to braid._left_weight per input letter while normal_form
-    reads a seeded mixed-sign word in B_n of each length."""
+    reads each word."""
     calls = 0
     left_weight = braid._left_weight
 
@@ -192,11 +216,87 @@ def left_weight_calls_per_letter(monkeypatch, n, lengths):
 
     monkeypatch.setattr(braid, "_left_weight", counted)
     per_letter = []
-    for length in lengths:
+    for w in words:
         calls = 0
-        normal_form(random_word(random.Random(length), n, length))
-        per_letter.append(calls / length)
+        normal_form(w)
+        per_letter.append(calls / len(w))
     return per_letter
+
+
+def far_reduced(letters):
+    """Whether no b_i^s ... b_i^-s is left whose letters between all
+    commute with b_i: a quadratic scan from each letter to the first letter
+    it does not commute with."""
+    for p, (i, s) in enumerate(letters):
+        for j, t in letters[p + 1:]:
+            if abs(i - j) < 2:
+                if (j, t) == (i, -s):
+                    return False
+                break
+    return True
+
+
+def far_conjugates(n):
+    """Words of up to 200 letters with u v u^-1 pieces, v in generators
+    far from u's last letter, between random signed letters."""
+    def conjugate(u, i, v):
+        u = u + [i]
+        return u + [x for x in v if abs(abs(x) - abs(i)) >= 2] + [
+            -x for x in reversed(u)]
+
+    piece = st.one_of(
+        signed_letters(n, max_size=20),
+        st.builds(conjugate, signed_letters(n, max_size=10),
+                  st.integers(1, n - 1).flatmap(
+                      lambda i: st.sampled_from([i, -i])),
+                  signed_letters(n, max_size=20)))
+    return st.lists(piece, max_size=6).map(
+        lambda ps: [x for p in ps for x in p][:200])
+
+
+class TestCancelFar:
+    """braid._cancel_far, the pass in front of normal_form's runs."""
+
+    @staticmethod
+    def draw(data):
+        n = data.draw(st.integers(2, 30))
+        ints = data.draw(st.one_of(far_conjugates(n),
+                                   signed_letters(n, max_size=200)))
+        w = BraidWord.from_ints(n, ints)
+        return w, BraidWord(n, braid._cancel_far(w.letters, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_keeps_the_braid(self, data):
+        w, v = self.draw(data)
+        assert v.exponent_sum() == w.exponent_sum()
+        assert v.permutation() == w.permutation()
+        if w.strands >= 3:
+            assert dynnikov_equal(v, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_leaves_no_far_inverse_pair(self, data):
+        _, v = self.draw(data)
+        assert far_reduced(v.letters)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_second_pass_changes_nothing(self, data):
+        _, v = self.draw(data)
+        assert braid._cancel_far(v.letters, v.strands) == list(v.letters)
+
+    def test_cancels_behind_far_letters_only(self):
+        def cancel(n, *ints):
+            w = W(n, *ints)
+            return to_ints(BraidWord(n, braid._cancel_far(w.letters, n)))
+
+        assert cancel(5, 1, 3, 4, -3, -1) == (3, 4, -3)
+        assert cancel(5, 1, 3, 4, -4, -3, -1) == ()
+        assert cancel(5, 1, 2, 3, -3, -1) == (1, 2, -1)
+        assert cancel(5, 2, 4, -2, 1) == (4, 1)
+        assert cancel(5, 2, 1, -2) == (2, 1, -2)
+        assert cancel(3, 1, 1, -1, 2, -1) == (1, 2, -1)
 
 
 def descents(p):

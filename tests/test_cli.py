@@ -1040,6 +1040,24 @@ class TestCLI:
                                "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
 
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
+        """`swapfact nf FILE | head -2`: the reader leaves after a few bytes
+        of a report larger than the pipe buffer (about 250 KB here)."""
+        f = tmp_path / "w.braid"
+        middle = " ".join(f"b{j}" for j in range(3, 40, 2))
+        f.write_text("@braid n=40\n" + (middle + "\n") * 2000)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "swapfact.cli", "nf", str(f)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.read(16) == b"schema: 1\nstrand"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=30) == 1, err
+        assert "Traceback" not in err, err
+
     def test_import_skips_dataclasses_and_inspect(self):
         """Every command is a fresh process that imports every module, and
         importing dataclasses (which pulls in inspect, ast and dis) and
