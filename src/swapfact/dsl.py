@@ -14,8 +14,16 @@ line: n= (strands; @framed defaults to 4) for @braid and @framed; g=, s=
 (default 2) and l= for @twist, where l= names the layout whose subsurface
 curves c(i,k), d(i,k), bd(Fi) the word may use and no l= means the plain
 chain surface; l= (default 0) for @swap.  Other keys are errors.  n= and
-g= are at most MAX_HEADER, l= at most surface.MAX_LAYOUT.  A curve token
-names a curve in surface.curve_table of its word's surface, or is an error.
+g= are at most MAX_HEADER, l= at most surface.MAX_LAYOUT.
+
+One reader reads every body but @framed's, through the alphabet of its
+context: the plain tokens, each with its generator, the letters it stores
+per power and its nesting depth, and the group openers, each with the
+reader of the rest of its letter.  @braid has b1 ... b(n-1).  @twist has
+a token for each curve in surface.curve_table of its surface, and img(.
+@swap has rho(i,j) and delta(i,j) for 1 <= i < j <= 4, M(1) to M(4), Mb,
+sub( and rhoA(i,j;, whose bodies are @twist words on the subsurface.  A
+token outside the alphabet is unknown, an error at its line and column.
 
 `#` starts a comment running to the end of the line.  Whitespace separates
 tokens, and a group's opener (img(, sub(, rhoA(i,j;), each ; and each )
@@ -101,6 +109,7 @@ MAX_HEADER = 100
 # depth of the parser and of the resolution of a derived curve's class.
 MAX_NESTING = 100
 _TOO_DEEP = f"parentheses nest deeper than the cap {MAX_NESTING}"
+_UNBALANCED = "unbalanced parentheses"
 
 # The caps on header values; the keys each kind takes are in _KINDS.
 _HEADER_CAPS = {"n": MAX_HEADER, "g": MAX_HEADER, "l": MAX_LAYOUT}
@@ -137,10 +146,13 @@ def _tokenize(text: str):
             line, start = line + 1, m.end()
 
 
-def _exponent(exp: str | None, line: int, col: int) -> int:
-    """The k of a ^k suffix, 1 when there is none."""
-    if exp is None:
-        return 1
+def _split_power(tok: str, line: int, col: int) -> Tuple[str, int]:
+    """The token's base and the k of its ^k suffix, 1 when there is none."""
+    base, caret, exp = tok.partition("^")
+    if not caret:
+        return base, 1
+    if not base:
+        raise ParseError("detached power suffix", line, col)
     try:
         k = int(exp)
     except ValueError:
@@ -148,29 +160,7 @@ def _exponent(exp: str | None, line: int, col: int) -> int:
     if abs(k) > MAX_POWER:
         raise ParseError(f"exponent {k} exceeds the cap {MAX_POWER}",
                          line, col)
-    return k
-
-
-def _split_power(tok: str, line: int, col: int) -> Tuple[str, int]:
-    base, caret, exp = tok.partition("^")
-    if caret and not base:
-        raise ParseError("detached power suffix", line, col)
-    return base, _exponent(exp if caret else None, line, col)
-
-
-def _spend(left: int, n: int, line: int, col: int) -> int:
-    """left, the letters the document may still store, less the n that
-    the token at line:col asks for; a ParseError when that is negative."""
-    left -= n
-    if left < 0:
-        raise ParseError(f"the document's letters exceed the cap "
-                         f"{MAX_LETTERS}", line, col)
-    return left
-
-
-def _repeat(generator, k: int) -> list:
-    """The letters of generator^k."""
-    return [(generator, 1 if k > 0 else -1)] * abs(k)
+    return base, k
 
 
 def _parse_header(tokens):
@@ -201,27 +191,171 @@ def _parse_header(tokens):
     return kind, params, tokens
 
 
+# --- the reader -------------------------------------------------------------
+
+class _Alphabet(NamedTuple):
+    """The tokens of the words of one document context."""
+    what: str               # braid | curve | swap: what an unknown token is
+    word: type              # BraidWord | TwistWord | SwapWord
+    context: object         # the words' strands, surface or layout
+    # token -> (generator, letters stored per power, depth), the count None
+    # for a @swap letter, whose expansion is counted when it is read
+    letters: dict
+    # opener -> the _Reader method that reads the rest of the letter, its
+    # body at the level given, and returns the same three and its power
+    groups: dict
+    spellings: dict         # curve tag or swap kind -> the printed token
+    hint: str = ""          # ends the error for an unknown c(, d(, bd( token
+
+    def unknown(self, base: str, ln: int, col: int) -> ParseError:
+        hint = self.hint if base.startswith(("c(", "d(", "bd(")) else ""
+        return ParseError(f"unknown {self.what} token {base!r}{hint}", ln, col)
+
+
+_NAME = re.compile(r"V\d+")           # a conjugator's name
+
+
+class _Reader:
+    """One document being read: its tokens, the letters it may still
+    store, the conjugators read so far, interned by value so that equal
+    ones are one object, which the class memo finds fast, and each name
+    defined so far with its word and depth."""
+
+    __slots__ = ("toks", "left", "words", "names")
+
+    def __init__(self, toks, words: dict):
+        self.toks, self.left, self.words, self.names = (toks, MAX_LETTERS,
+                                                         words, {})
+
+    def spend(self, n: int, ln: int, col: int) -> None:
+        """Spend the n letters the token at ln:col asks for."""
+        self.left -= n
+        if self.left < 0:
+            raise ParseError(f"the document's letters exceed the cap "
+                             f"{MAX_LETTERS}", ln, col)
+
+    def take(self, ln: int, col: int):
+        """The next token of the group opened at ln:col."""
+        for t in self.toks:
+            return t
+        raise ParseError(_UNBALANCED, ln, col)
+
+    def close(self, what: str, ln: int, col: int) -> int:
+        """The k of the )^k that ends the group opened at ln:col."""
+        tok, l, c = self.take(ln, col)
+        base, k = _split_power(tok, l, c)
+        if base != ")":
+            raise ParseError(f"malformed {what}", l, c)
+        return k
+
+    def word(self, alphabet: _Alphabet, level: int = 0,
+             end: str | None = None, first=(), eof=None):
+        """Read a word of the alphabet from first, then the tokens, up to
+        its end token: ; or ) for the body of a group, which level groups
+        enclose, or None for the top level, which runs to the end of the
+        text and alone may define names.  Return the word, how deep its
+        letters nest (a named conjugator as its definition written out)
+        and the k of the end token.  eof is the (message, line, column) of
+        the error to raise when the text ends first."""
+        plain, groups = alphabet.letters, alphabet.groups
+        letters, depth = [], 0
+        for tok, ln, col in itertools.chain(first, self.toks):
+            base, k = _split_power(tok, ln, col)
+            entry = plain.get(base)
+            if entry is not None:
+                generator, size, d = entry
+            elif base == end:
+                return alphabet.word(alphabet.context, letters), depth, k
+            elif tok in groups:
+                if level == MAX_NESTING:
+                    raise ParseError(_TOO_DEEP, ln, col)
+                generator, size, d, k = groups[tok](self, alphabet,
+                                                    level + 1, ln, col)
+            elif alphabet.word is TwistWord and _NAME.fullmatch(tok):
+                self.define(alphabet, tok, end, ln, col)
+                continue
+            else:
+                raise alphabet.unknown(base, ln, col)
+            if level + d > MAX_NESTING:
+                raise ParseError(_TOO_DEEP, ln, col)
+            depth = max(depth, d)
+            if size is None:
+                size = 1 + expansion_size(alphabet.context, generator)[1]
+            # spend inline: this loop reads every letter of an artifact,
+            # and the call costs more than the count
+            n = abs(k)
+            self.left -= n * size
+            if self.left < 0:
+                self.spend(0, ln, col)
+            letters += [(generator, 1 if k > 0 else -1)] * n
+        if eof:
+            raise ParseError(*eof)
+        return alphabet.word(alphabet.context, letters), depth, None
+
+    def define(self, alphabet, name, end, ln, col) -> None:
+        """Read the definition name = <word> ; whose name is at ln:col."""
+        if end is not None:
+            raise ParseError(f"{name} stands alone: a name is defined at "
+                             f"the top level and used as img({name}; "
+                             f"<curve>)", ln, col)
+        if next(self.toks, ("",))[0] != "=":
+            raise ParseError(f"{name} is not followed by =", ln, col)
+        if name in self.names:
+            raise ParseError(f"{name} is defined twice", ln, col)
+        v, d, _ = self.word(alphabet, 0, ";", (), (
+            f"the definition of {name} does not end with ;", ln, col))
+        self.names[name] = self.words.setdefault(v, v), d
+
+    def img(self, alphabet, level, ln, col):
+        """img(<a name defined before, or a word>; <curve>)^k."""
+        tok = self.take(ln, col)
+        first = [tok, self.take(ln, col)] if _NAME.fullmatch(tok[0]) else [tok]
+        if first[1:] and first[1][0] == ";":  # else word() refuses the name
+            name, nl, nc = first[0]
+            if name not in self.names:
+                raise ParseError(f"{name} is not defined before its use",
+                                 nl, nc)
+            v, d = self.names[name]
+        else:
+            v, d, _ = self.word(alphabet, level, ";", first,
+                                (_UNBALANCED, ln, col))
+            v = self.words.setdefault(v, v)
+        tok, bl, bc = self.take(ln, col)
+        curve = alphabet.letters.get(tok)
+        if curve is None:
+            raise alphabet.unknown(tok, bl, bc)
+        k = self.close("img(...) token", ln, col)
+        return DerivedCurve(curve[0], v), 1, 1 + max(d, curve[2]), k
+
+    def sub(self, alphabet, level, ln, col):
+        """sub(<subsurface word>; F<i>)^k."""
+        body = _twist_alphabet(alphabet.context.subsurface_model())
+        a, d, _ = self.word(body, level, ";", (), (_UNBALANCED, ln, col))
+        f, fl, fc = self.take(ln, col)
+        m = re.fullmatch(r"F(\d+)", f)
+        if not m:
+            raise ParseError("malformed swap token", fl, fc)
+        i = int(m.group(1))
+        if not 1 <= i <= 4:
+            raise ParseError(f"no subsurface F{i}", ln, col)
+        return ("sub", i, a), None, 1 + d, self.close("swap token", ln, col)
+
+    def rho_a(self, alphabet, level, ln, col, pair):
+        """rhoA(i,j; <subsurface word>)^k for the pair (i, j)."""
+        body = _twist_alphabet(alphabet.context.subsurface_model())
+        a, d, k = self.word(body, level, ")", (), (_UNBALANCED, ln, col))
+        v = SwapWord(alphabet.context, ((("sub", pair[0], a), 1),))
+        return ("conj", v, ("rho", *pair)), None, 1 + d, k
+
+
 # --- braid ------------------------------------------------------------------
 
-_BRAID_TOK = re.compile(r"b(\d+)")
-
-
-def _parse_braid(params, toks) -> BraidWord:
+def _parse_braid(params, reader: _Reader) -> BraidWord:
     n = params.get("n")
     if n is None:
         raise ParseError("braid header needs n=<strands>", 1, 1)
-    letters, left = [], MAX_LETTERS
-    for tok, ln, col in toks:
-        base, k = _split_power(tok, ln, col)
-        m = _BRAID_TOK.fullmatch(base)
-        if not m:
-            raise ParseError(f"unknown braid token {base!r}", ln, col)
-        i = int(m.group(1))
-        if not 1 <= i < n:
-            raise ParseError(f"generator b{i} out of range for n={n}", ln, col)
-        left = _spend(left, abs(k), ln, col)
-        letters.extend(_repeat(i, k))
-    return BraidWord(n, letters)
+    letters = {f"b{i}": (i, 1, 0) for i in range(1, n)}
+    return reader.word(_Alphabet("braid", BraidWord, n, letters, {}, {}))[0]
 
 
 def _print_braid(w: BraidWord) -> str:
@@ -235,10 +369,10 @@ _PAIR_TOK = re.compile(r"(delta|rho)\((\d+),(\d+)\)")
 _M_TOK = re.compile(r"M\((\d+)\)")
 
 
-def _parse_framed(params, toks) -> FramedBraid:
+def _parse_framed(params, reader: _Reader) -> FramedBraid:
     n = params.get("n", 4)
-    factors, left = [framed_identity(n)], MAX_LETTERS
-    for tok, ln, col in toks:
+    factors = [framed_identity(n)]
+    for tok, ln, col in reader.toks:
         base, k = _split_power(tok, ln, col)
         m = _PAIR_TOK.fullmatch(base)
         mi = _M_TOK.fullmatch(base)
@@ -254,7 +388,7 @@ def _parse_framed(params, toks) -> FramedBraid:
                 x = boundary_multitwist_framed(n)
         except ValueError as exc:
             raise ParseError(str(exc), ln, col) from None
-        left = _spend(left, abs(k) * (1 + len(x.underlying)), ln, col)
+        reader.spend(abs(k) * (1 + len(x.underlying)), ln, col)
         factors.append(fpower(x, k))
     return fcompose(*factors)
 
@@ -294,151 +428,37 @@ _CURVE_SPELLINGS = {
 
 
 @functools.lru_cache(maxsize=64)   # a run reads and writes a few surfaces
-def _curve_tokens(surface: SurfaceModel) -> Tuple[dict, dict]:
-    """token -> NamedCurve for every spelling of every curve in the
-    surface's curve_table, and tag -> the first, which the printer writes."""
-    curves, spellings = {}, {}
+def _twist_alphabet(surface: SurfaceModel) -> _Alphabet:
+    """The twist words on the surface: each spelling of each curve in its
+    curve_table, with its depth, and img(; the printer writes the first."""
+    letters, spellings = {}, {}
     for tag in curve_table(surface):
         curve, free = NamedCurve(tag), (tag[0],) + (None,) * (len(tag) - 1)
         for template in (free[:-1] + tag[-1:], free):
             if template in _CURVE_SPELLINGS:
                 token = _CURVE_SPELLINGS[template].format(*tag[1:])
-                curves[token] = curve
+                letters[token] = curve, 1, int("(" in token)
                 spellings.setdefault(tag, token)
-    return curves, spellings
+    return _Alphabet("curve", TwistWord, surface, letters,
+                     {"img(": _Reader.img}, spellings)
 
 
-def _unknown_curve(base: str, ln: int, col: int, hint: str) -> ParseError:
-    """The error for a token that spells no curve of the surface."""
-    hint = hint if base.startswith(("c(", "d(", "bd(")) else ""
-    return ParseError(f"unknown curve token {base!r}{hint}", ln, col)
-
-
-def _take(toks, ln: int, col: int):
-    """The next token of the group opened at ln:col."""
-    for t in toks:
-        return t
-    raise ParseError("unbalanced parentheses", ln, col)
-
-
-def _close(toks, what: str, ln: int, col: int) -> int:
-    """The k of the )^k that ends the group opened at ln:col."""
-    tok, l, c = _take(toks, ln, col)
-    base, k = _split_power(tok, l, c)
-    if base != ")":
-        raise ParseError(f"malformed {what}", l, c)
-    return k
-
-
-# A conjugator's name.
-_NAME = re.compile(r"V\d+")
-
-
-def _twist_word(surface: SurfaceModel, toks, words: dict, names: dict,
-                left: int, level: int, end: str | None = None, first=(),
-                eof=None, hint: str = ""):
-    """Read a twist word from first, then toks, up to its end token and
-    return the word, how deep its letters nest, the k of the end token and
-    the letters the document may still store, left before the word.
-    end is ; or ) for the body of a group, which level groups enclose, and
-    None at the top level, which runs to the end of the text and alone may
-    define names.  eof is the (message, line, column) of the error to raise
-    when the text ends before the end token; hint ends the error for an
-    unknown token shaped like a layout curve.
-
-    A letter nests as deep as its parentheses; a named conjugator counts as
-    its definition written out in place.  The class resolution recurses
-    that deep.  words interns the conjugators read so far by value: equal
-    conjugators become one object, which the class memo finds fast.  names
-    maps each name defined so far to its word and depth."""
-    curves = _curve_tokens(surface)[0]
-    letters, depth = [], 0
-    for tok, ln, col in itertools.chain(first, toks):
-        base, k = _split_power(tok, ln, col)
-        curve = curves.get(base)
-        if curve is not None:
-            d = "(" in base
-        elif base == end:
-            return TwistWord(surface, letters), depth, k, left
-        elif tok == "img(":
-            if level == MAX_NESTING:
-                raise ParseError(_TOO_DEEP, ln, col)
-            v, d, left = _conjugator(surface, toks, words, names, left,
-                                     level + 1, ln, col, hint)
-            base, bl, bc = _take(toks, ln, col)
-            curve = curves.get(base)
-            if curve is None:
-                raise _unknown_curve(base, bl, bc, hint)
-            curve, d = DerivedCurve(curve, v), 1 + max(d, "(" in base)
-            k = _close(toks, "img(...) token", ln, col)
-        elif _NAME.fullmatch(tok):
-            if end is not None:
-                raise ParseError(f"{tok} stands alone: a name is defined at "
-                                 f"the top level and used as img({tok}; "
-                                 f"<curve>)", ln, col)
-            if next(toks, ("",))[0] != "=":
-                raise ParseError(f"{tok} is not followed by =", ln, col)
-            if tok in names:
-                raise ParseError(f"{tok} is defined twice", ln, col)
-            v, d, _, left = _twist_word(
-                surface, toks, words, names, left, 0, ";", (), (
-                    f"the definition of {tok} does not end with ;", ln, col),
-                hint)
-            names[tok] = words.setdefault(v, v), d
-            continue
-        else:
-            raise _unknown_curve(base, ln, col, hint)
-        if level + d > MAX_NESTING:
-            raise ParseError(_TOO_DEEP, ln, col)
-        depth = max(depth, d)
-        # _spend and _repeat inline: this loop reads every letter of an
-        # artifact, and the calls cost more than the count
-        n = abs(k)
-        left -= n
-        if left < 0:
-            _spend(left, 0, ln, col)
-        letters += [(curve, 1 if k > 0 else -1)] * n
-    if eof:
-        raise ParseError(*eof)
-    return TwistWord(surface, letters), depth, None, left
-
-
-def _conjugator(surface, toks, words, names, left, level, ln, col, hint):
-    """The conjugator of the img(...) letter opened at ln:col, its depth
-    and the letters left, read up to its ;: a name defined before, or a
-    twist word."""
-    first = [_take(toks, ln, col)]
-    if _NAME.fullmatch(first[0][0]):
-        first.append(_take(toks, ln, col))
-        name, nl, nc = first[0]
-        if first[1][0] == ";":     # else _twist_word refuses the name
-            if name not in names:
-                raise ParseError(f"{name} is not defined before its use",
-                                 nl, nc)
-            return names[name] + (left,)
-    v, d, _, left = _twist_word(surface, toks, words, names, left, level,
-                                ";", first, ("unbalanced parentheses", ln,
-                                             col), hint)
-    return words.setdefault(v, v), d, left
-
-
-def _parse_twist(params, toks, conjugators=None) -> TwistWord:
+def _parse_twist(params, reader: _Reader) -> TwistWord:
     g, l = params.get("g"), params.get("l")
     if g is None:
         raise ParseError("twist header needs g=<genus>", 1, 1)
     layout = None if l is None else SurfaceLayout(l)
-    surface = SurfaceModel(g, params.get("s", 2), layout)
-    words = {} if conjugators is None else conjugators.setdefault(surface,
-                                                                  {})
-    return _twist_word(surface, toks, words, {}, MAX_LETTERS, 0,
-                       hint="" if layout else "; a layout curve needs l=<l> "
-                       "in the @twist header")[0]
+    alphabet = _twist_alphabet(SurfaceModel(g, params.get("s", 2), layout))
+    if layout is None:
+        alphabet = alphabet._replace(hint="; a layout curve needs l=<l> in "
+                                     "the @twist header")
+    return reader.word(alphabet)[0]
 
 
 def _print_twist_tokens(w: TwistWord, conjugator) -> List[str]:
     """The word's tokens; conjugator(v) spells the conjugator v of each
     img(...) letter."""
-    spell = _curve_tokens(w.surface)[1]
+    spell = _twist_alphabet(w.surface).spellings
     return [(f"img({conjugator(c.conjugator)}; {spell[c.base.tag]})"
              if isinstance(c, DerivedCurve) else spell[c.tag])
             + ("^-1" if s < 0 else "") for c, s in w.letters]
@@ -473,74 +493,44 @@ def _print_twist(w: TwistWord) -> str:
 
 # --- swap -------------------------------------------------------------------
 
-def _parse_swap(params, toks) -> SwapWord:
-    layout = SurfaceLayout(params.get("l", 0))
-    sub = layout.subsurface_model()
-    letters, left = [], MAX_LETTERS
-    for tok, ln, col in toks:
-        if tok == "sub(":
-            a, _, _, left = _twist_word(sub, toks, {}, {}, left, 1, ";", (), (
-                "unbalanced parentheses", ln, col))
-            f, fl, fc = _take(toks, ln, col)
-            m = re.fullmatch(r"F(\d+)", f)
-            if not m:
-                raise ParseError("malformed swap token", fl, fc)
-            kind = ("sub", int(m.group(1)), a)
-            if not 1 <= kind[1] <= 4:
-                raise ParseError(f"no subsurface F{kind[1]}", ln, col)
-            k = _close(toks, "swap token", ln, col)
-        elif tok.startswith("rhoA("):
-            m = re.fullmatch(r"rhoA\((\d+),(\d+);", tok)
-            if not m:
-                raise ParseError("malformed swap token", ln, col)
-            i, j = int(m.group(1)), int(m.group(2))
-            if not 1 <= i < j <= 4:
-                raise ParseError(f"bad swap pair rhoA({i},{j})", ln, col)
-            a, _, k, left = _twist_word(sub, toks, {}, {}, left, 1, ")", (), (
-                "unbalanced parentheses", ln, col))
-            v = SwapWord(layout, ((("sub", i, a), 1),))
-            kind = ("conj", v, ("rho", i, j))
-        else:
-            base, k = _split_power(tok, ln, col)
-            m = _PAIR_TOK.fullmatch(base)
-            if m:
-                kind = (m.group(1), int(m.group(2)), int(m.group(3)))
-                if not 1 <= kind[1] < kind[2] <= 4:
-                    raise ParseError(f"bad swap pair {base}", ln, col)
-            elif _M_TOK.fullmatch(base):
-                kind = ("M", int(_M_TOK.fullmatch(base).group(1)))
-                if not 1 <= kind[1] <= 4:
-                    raise ParseError(f"no subsurface boundary {base}", ln, col)
-            elif base == "Mb":
-                kind = ("Mb",)
-            else:
-                raise ParseError(f"unknown swap token {base!r}", ln, col)
-        size = 1 + expansion_size(layout, kind)[1]
-        left = _spend(left, abs(k) * size, ln, col)
-        letters.extend(_repeat(kind, k))
-    return SwapWord(layout, letters)
+# Each plain @swap letter once: rho(i,j) and delta(i,j) for the pairs
+# 1 <= i < j <= 4, M(1) to M(4) and Mb.
+_PAIRS = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+_SWAP_SPELLINGS = {
+    **{(name, i, j): f"{name}({i},{j})" for name in ("rho", "delta")
+       for i, j in _PAIRS},
+    **{("M", i): f"M({i})" for i in range(1, 5)},
+    ("Mb",): "Mb",
+}
+_SWAP = _Alphabet(
+    "swap", SwapWord, None,
+    {token: (kind, None, 0) for kind, token in _SWAP_SPELLINGS.items()},
+    {"sub(": _Reader.sub, **{f"rhoA({i},{j};": functools.partial(
+        _Reader.rho_a, pair=(i, j)) for i, j in _PAIRS}},
+    _SWAP_SPELLINGS)
+
+
+def _parse_swap(params, reader: _Reader) -> SwapWord:
+    return reader.word(_SWAP._replace(
+        context=SurfaceLayout(params.get("l", 0))))[0]
 
 
 def _print_swap_letter(kind, sign) -> str:
     suffix = "^-1" if sign < 0 else ""
     name = kind[0]
-    if name in ("rho", "delta"):
-        return f"{name}({kind[1]},{kind[2]})" + suffix
-    if name == "M":
-        return f"M({kind[1]})" + suffix
-    if name == "Mb":
-        return "Mb" + suffix
     if name == "sub":
         return f"sub({_inline(kind[2])}; F{kind[1]})" + suffix
     if name == "conj":
         v, inner = kind[1], kind[2]
         if (len(v.letters) == 1 and v.letters[0][0][0] == "sub"
                 and v.letters[0][1] == 1 and inner[0] == "rho"
-                and v.letters[0][0][1] == inner[1]):
+                and inner[1:] in _PAIRS and v.letters[0][0][1] == inner[1]):
             a = _inline(v.letters[0][0][2])
             return f"rhoA({inner[1]},{inner[2]};{a})" + suffix
         raise ValueError("general conjugated letters have no DSL token")
-    raise ValueError(f"unknown swap letter {kind!r}")
+    if kind not in _SWAP.spellings:
+        raise ValueError(f"unknown swap letter {kind!r}")
+    return _SWAP.spellings[kind] + suffix
 
 
 def _print_swap(w: SwapWord) -> str:
@@ -575,13 +565,14 @@ _KINDS = {
 
 
 def parse(text: str, conjugators: dict | None = None) -> Document:
-    """The document text spells.  conjugators, when given, maps each
-    surface to the img(...) conjugators read on it so far: documents parsed
-    with one such dict share their equal conjugators as one object."""
+    """The document text spells.  conjugators, when given, is the memo of
+    the conjugators read so far, each interned by value: documents parsed
+    with one such dict share their equal conjugators as one object.  The
+    memo is flat, one dict for every surface, since a word's equality
+    includes its surface."""
     kind, params, rest = _parse_header(_tokenize(text))
-    if kind == "twist":
-        return Document(kind, _parse_twist(params, rest, conjugators))
-    return Document(kind, _KINDS[kind][1](params, rest))
+    reader = _Reader(rest, {} if conjugators is None else conjugators)
+    return Document(kind, _KINDS[kind][1](params, reader))
 
 
 def print_document(doc: Document) -> str:

@@ -509,17 +509,37 @@ class TestCLI:
         assert run(["verify", str(f), str(f), "--tier", tier], capsys) == (
             1, "", f"parse error: {err}\n")
 
-    @pytest.mark.parametrize("token", ["rhoA(1,5; c1)", "rhoA(2,1; c1)",
-                                       "rhoA(3,3; c1)", "sub(c1; F5)",
-                                       "sub(c1; F0)", "M(0)", "M(7)"])
+    # a token outside the @swap alphabet is unknown; sub(...; Fi) reads and
+    # checks its index
+    @pytest.mark.parametrize("token,message", [
+        pytest.param(token, message, id=token) for token, message in [
+            ("rhoA(1,5; c1)", "unknown swap token 'rhoA(1,5;'"),
+            ("rhoA(2,1; c1)", "unknown swap token 'rhoA(2,1;'"),
+            ("rhoA(3,3; c1)", "unknown swap token 'rhoA(3,3;'"),
+            ("sub(c1; F5)", "no subsurface F5"),
+            ("sub(c1; F0)", "no subsurface F0"),
+            ("M(0)", "unknown swap token 'M(0)'"),
+            ("M(7)", "unknown swap token 'M(7)'"),
+            ("rho(1,5)", "unknown swap token 'rho(1,5)'"),
+            ("delta(2,2)", "unknown swap token 'delta(2,2)'"),
+            ("rho(01,2)", "unknown swap token 'rho(01,2)'"),
+        ]])
     def test_swap_index_out_of_range_is_a_parse_error(self, tmp_path, capsys,
-                                                      token):
+                                                      token, message):
         f = tmp_path / "w.swap"
         f.write_text(f"@swap l=0\nMb {token}\n")
         code, _, err = run(["verify", str(f), str(f), "--tier", "homology"],
                            capsys)
-        assert code == 1 and err.startswith("parse error: 2:4: ")
-        assert "Traceback" not in err
+        assert code == 1 and err == f"parse error: 2:4: {message}\n"
+
+    @pytest.mark.parametrize("token", ["b5", "b3", "b0", "b01"])
+    def test_braid_index_out_of_range_is_a_parse_error(self, tmp_path,
+                                                       capsys, token):
+        f = tmp_path / "w.braid"
+        f.write_text(f"@braid n=3\nb1 {token}\n")
+        code, _, err = run(["verify", str(f), str(f)], capsys)
+        assert code == 1
+        assert err == f"parse error: 2:4: unknown braid token {token!r}\n"
 
     @pytest.mark.parametrize("text", ["@framed n=4\nMb M(7)",
                                       "@framed n=4\nMb M(0)",
@@ -1242,6 +1262,14 @@ class TestLetterCap:
         ("@swap l=0\nM(1)^3 Mb^-1", 12),
         ("@swap l=0\nrho(1,2)", 7),
         ("@swap l=0\nsub(c1^2 c2; F1)^2", 11),
+        # the 2 letters read, then V p V^-1 for p = rho(2,3), whose 6
+        # twists carry 126 letters with their conjugators, and
+        # V = sub(c1 c2; F1) rho(1,2)^-1, whose letters expand to 2 and 6
+        # twists: 2 + 1 + 6 + 126 + 8 + 6 * 8
+        ("@swap l=0\nrhoA(1,3; c1 c2)", 191),
+        # rho(1,3), which is rho(2,3) conjugated by rho(1,2)^-1, then M(3)
+        # and M(1): 1 + (6 + 126 + 6 + 6 * 6) + 2 + 2
+        ("@swap l=0\ndelta(1,3)", 179),
     ])
     def test_counting(self, monkeypatch, text, count):
         monkeypatch.setattr(dsl, "MAX_LETTERS", count)

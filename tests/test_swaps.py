@@ -4,8 +4,8 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swapfact import swaps as swaps_mod
-from swapfact.dsl import parse
+from swapfact import dsl, swaps as swaps_mod
+from swapfact.dsl import Document, ParseError, parse, print_document
 from swapfact.framed import framed_equal, framed_identity
 from swapfact.surface import NamedCurve, TwistWord, twist
 from swapfact.swaps import (SurfaceLayout, SwapWord, embed, expand,
@@ -279,3 +279,55 @@ class TestConjugationRelations:
     def test_rho_conjugated_expansion_positive(self, layout):
         w = expand(rho_conjugated(layout, 1, 2, sub_twist(layout, ("chain", 1))))
         assert len(w) == 6 and w.is_positive()
+
+
+class TestSwapAlphabet:
+    """The @swap reader's alphabet is the only check of a letter's indices:
+    spell does not check them."""
+
+    PLAIN = ([(name, i, j) for name in ("rho", "delta") for i, j in PAIRS]
+             + [("M", i) for i in range(1, 5)] + [("Mb",)])
+
+    def test_plain_letters_are_the_valid_kinds(self):
+        kinds = [kind for kind, _, _ in dsl._SWAP.letters.values()]
+        assert len(kinds) == len(self.PLAIN)
+        assert set(kinds) == set(self.PLAIN)
+
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_each_plain_letter_prints_as_one_token(self, l):
+        layout = SurfaceLayout(l)
+        for kind in self.PLAIN:
+            w = swap_letter(layout, kind)
+            assert len(expand(w)) == expansion_size(layout, kind)[0]
+            text = print_document(Document("swap", w))
+            assert text.splitlines()[1:] == [dsl._SWAP.spellings[kind]]
+            assert parse(text).value == w
+
+    @given(name=st.sampled_from(["rho", "delta", "rhoA", "M"]),
+           i=st.integers(0, 5), j=st.integers(0, 5))
+    def test_a_token_parses_exactly_when_its_indices_are_valid(self, name,
+                                                               i, j):
+        token = {"rho": f"rho({i},{j})", "delta": f"delta({i},{j})",
+                 "rhoA": f"rhoA({i},{j}; c1)", "M": f"M({i})"}[name]
+        valid = 1 <= i <= 4 if name == "M" else 1 <= i < j <= 4
+        text = f"@swap l=0\nMb {token}"
+        if valid:
+            assert len(parse(text).value) == 2
+        else:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (err.value.line, err.value.column) == (2, 4)
+
+    def test_printer_writes_no_token_outside_the_alphabet(self, layout):
+        a = parse("@swap l=0\nsub(c1; F1)").value.letters[0][0][2]
+        v = swap_letter(layout, ("sub", 1, a))
+        for kind in [("rho", 1, 5), ("M", 7), ("conj", v, ("rho", 1, 5))]:
+            with pytest.raises(ValueError):
+                print_document(Document("swap", swap_letter(layout, kind)))
+
+    def test_parse_builds_no_rho_expansion_it_does_not_read(self):
+        # the letters' sizes are counted as they are read: the rho
+        # expansions of l = 22 take a fifth of a second to build
+        swaps_mod._rho_expansions.cache_clear()
+        parse("@swap l=22\nMb M(1) sub(c1; F2)")
+        assert swaps_mod._rho_expansions.cache_info().currsize == 0
