@@ -23,7 +23,14 @@ Two independent decision procedures for the word problem are provided:
   moved, and on seeded random words of either sign the visits per letter
   stay flat in B_4 (about 1.0) and grow slowly in B_24 as the word grows
   (3.7 to 4.5 at 1,000 to 4,000 letters), so the normal form takes
-  near-linear time in practice.
+  near-linear time in practice.  :func:`equal` reads one normal form, of
+  w1^-1 w2, and asks whether it is trivial.  Two spellings of one braid
+  share most of their letters, and the far cancellation removes the
+  shared prefix, up to far commutation, across the junction of w1^-1 and
+  w2 before any run is cut.  Runs of neighbouring generators of opposite
+  signs, (b1^1000 b2^-1000)^r, stay quadratic: 250(r + 1) + 1
+  left-weighting calls per letter for their normal form, and for the
+  quotient of two spellings of them that share no such prefix.
 * :func:`dynnikov_equal` acts on integer laminations of the punctured disk
   via the Dynnikov coordinate update rules.  The action cannot see the
   central full twists, so the test also compares exponent sums, which is
@@ -126,9 +133,9 @@ def band(i: int, conjugator: BraidWord) -> BraidWord:
 # ---------------------------------------------------------------------------
 #
 # Permutations are sequences p with p[i] = image of position i (0-based) and
-# multiply functionally: pmul(p, q) applies q first.  A permutation braid is
-# the positive braid in which the pair of strands (i, j) crosses iff (i, j)
-# is an inversion of the permutation; its Artin length is inv(p).
+# multiply functionally: the product p.q applies q first.  A permutation
+# braid is the positive braid in which the pair of strands (i, j) crosses
+# iff (i, j) is an inversion of the permutation; its Artin length is inv(p).
 #
 # For simple factors written in word order (rightmost acts first):
 #   starting set  S(B) = {i : B = b_i . B'}  = descents of B^-1
@@ -181,15 +188,10 @@ def band(i: int, conjugator: BraidWord) -> BraidWord:
 # per letter in B_4 and 3.4 to 5.6 in B_24 if mixed-sign (2.0, and 5.6 to
 # 8.2, without the cancellation), and 1.4 to 1.5 in B_24 if positive.
 # Words made of long runs gain most from the runs: the band certificate of
-# `lift.rho_band_factorization` at g' = 24 (B_100) takes 392 calls,
-# against 22,146 with one factor per letter.  The cancellation cannot help
-# runs of neighbouring generators: (b1^1000 b2^-1000)^r in B_4 still costs
-# 250(r + 1) + 1 calls per letter.
-
-
-def pmul(p: Perm, q: Perm) -> Perm:
-    """Functional composition: q acts first."""
-    return tuple(p[q[i]] for i in range(len(p)))
+# `lift.rho_band_factorization` at g' = 24 (B_100) takes 393 calls,
+# against 22,146 when its two sides were read one factor per letter.  The
+# cancellation cannot help runs of neighbouring generators:
+# (b1^1000 b2^-1000)^r in B_4 still costs 250(r + 1) + 1 calls per letter.
 
 
 def pinv(p: Perm) -> Perm:
@@ -199,9 +201,9 @@ def pinv(p: Perm) -> Perm:
     return tuple(out)
 
 
-def _tau(p: Perm, rev: Perm) -> Perm:
-    """Conjugation by Delta: flip positions and values."""
-    return pmul(rev, pmul(p, rev))
+def _tau(p: Perm, m: int) -> list[int]:
+    """Conjugation by Delta in B_(m+1): flip positions and values."""
+    return [m - x for x in reversed(p)]
 
 
 class GarsideNormalForm(NamedTuple):
@@ -228,21 +230,35 @@ def _left_weight(a: list[int], b: list[int]) -> bool:
     i-1 and i.  So this is an insertion sort of the pairs under that rule:
     pair k walks left while a crossing moves.  Positions left of k are
     settled before it walks and the pairs it passes keep their order, so one
-    walk per position suffices: O(n) plus O(1) per crossing moved.
+    walk per position suffices: O(n) plus O(1) per crossing moved.  At most
+    positions no crossing moves, so the first step is tested before the
+    walk starts.
     """
-    binv = list(pinv(b))
+    n = len(b)
+    binv = [0] * n
+    for i in range(n):
+        binv[b[i]] = i
     moved = False
-    for k in range(1, len(a)):
-        xa, xb = a[k], binv[k]
-        i = k
+    for k in range(1, n):
+        xb = binv[k]
+        if binv[k - 1] < xb:
+            continue
+        xa = a[k]
+        if a[k - 1] > xa:
+            continue
+        a[k] = a[k - 1]
+        binv[k] = binv[k - 1]
+        i = k - 1
         while i and binv[i - 1] > xb and a[i - 1] < xa:
-            a[i], binv[i] = a[i - 1], binv[i - 1]
+            a[i] = a[i - 1]
+            binv[i] = binv[i - 1]
             i -= 1
-        if i != k:
-            a[i], binv[i] = xa, xb
-            moved = True
+        a[i] = xa
+        binv[i] = xb
+        moved = True
     if moved:
-        b[:] = pinv(binv)
+        for i in range(n):
+            b[binv[i]] = i
     return moved
 
 
@@ -277,6 +293,7 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     n = w.strands
     if n == 1:
         return GarsideNormalForm(1, 0, ())
+    m = n - 1
     ident = list(range(n))
     rev = ident[::-1]
 
@@ -297,8 +314,8 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
             run[i - 1], run[i] = run[i], run[i - 1]
             continue
         if run_sign:
-            x = pinv(run) if run_sign > 0 else pmul(rev, pinv(run))
-            simples.append(_tau(x, rev) if infimum % 2 else x)
+            x = pinv(run) if run_sign > 0 else [m - v for v in pinv(run)]
+            simples.append(_tau(x, m) if infimum % 2 else x)
             if run_sign < 0:
                 infimum -= 1
         run = list(ident)
@@ -323,7 +340,7 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
             if j < 0:
                 break
             if flips[j] != parity:
-                factors[j][:] = _tau(factors[j], rev)
+                factors[j][:] = _tau(factors[j], m)
                 flips[j] = parity
             if not _left_weight(factors[j], factors[j + 1]):
                 break
@@ -340,16 +357,18 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
             flips.pop()
 
     return GarsideNormalForm(n, infimum, tuple(
-        _tau(f, rev) if b != parity else tuple(f)
+        tuple(_tau(f, m) if b != parity else f)
         for f, b in zip(factors, flips)))
 
 
 def equal(w1: BraidWord, w2: BraidWord) -> bool:
-    """Exact word-problem equality via Garside normal forms."""
+    """Exact word-problem equality: whether the Garside normal form of
+    w1^-1 w2 is trivial."""
     if w1.strands != w2.strands:
         raise StrandMismatch(
             f"cannot compare B_{w1.strands} with B_{w2.strands}")
-    return normal_form(w1) == normal_form(w2)
+    nf = normal_form(compose(w1.inverse(), w2))
+    return nf.infimum == 0 and not nf.factors
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ per power and its nesting depth, and the group openers, each with the
 reader of the rest of its letter.  @braid has b1 ... b(n-1).  @twist has
 a token for each curve in surface.curve_table of its surface, and img(.
 @swap has rho(i,j) and delta(i,j) for 1 <= i < j <= 4, M(1) to M(4), Mb,
-sub( and rhoA(i,j;, whose bodies are @twist words on the subsurface.  A
-token outside the alphabet is unknown, an error at its line and column.
+sub( and rhoA(i,j;, whose bodies are @twist words on the subsurface, and
+the ; of sub( is followed by one of F1 to F4.  A token outside the
+alphabet is unknown, an error at its line and column.
 
 `#` starts a comment running to the end of the line.  Whitespace separates
 tokens, and a group's opener (img(, sub(, rhoA(i,j;), each ; and each )
@@ -213,6 +214,7 @@ class _Alphabet(NamedTuple):
 
 
 _NAME = re.compile(r"V\d+")           # a conjugator's name
+_SUBSURFACES = {f"F{i}": i for i in range(1, 5)}  # the Fi of sub(...; Fi)
 
 
 class _Reader:
@@ -332,12 +334,9 @@ class _Reader:
         body = _twist_alphabet(alphabet.context.subsurface_model())
         a, d, _ = self.word(body, level, ";", (), (_UNBALANCED, ln, col))
         f, fl, fc = self.take(ln, col)
-        m = re.fullmatch(r"F(\d+)", f)
-        if not m:
-            raise ParseError("malformed swap token", fl, fc)
-        i = int(m.group(1))
-        if not 1 <= i <= 4:
-            raise ParseError(f"no subsurface F{i}", ln, col)
+        i = _SUBSURFACES.get(f)
+        if i is None:
+            raise ParseError(f"unknown subsurface token {f!r}", fl, fc)
         return ("sub", i, a), None, 1 + d, self.close("swap token", ln, col)
 
     def rho_a(self, alphabet, level, ln, col, pair):

@@ -203,23 +203,29 @@ def seeded_words(n, lengths):
             for length in lengths]
 
 
-def left_weight_calls_per_letter(monkeypatch, words):
-    """Calls to braid._left_weight per input letter while normal_form
-    reads each word."""
-    calls = 0
+def counted_left_weight_calls(monkeypatch):
+    """A list that gains one entry per braid._left_weight call from now
+    on."""
+    calls = []
     left_weight = braid._left_weight
 
     def counted(a, b):
-        nonlocal calls
-        calls += 1
+        calls.append(None)
         return left_weight(a, b)
 
     monkeypatch.setattr(braid, "_left_weight", counted)
+    return calls
+
+
+def left_weight_calls_per_letter(monkeypatch, words):
+    """Calls to braid._left_weight per input letter while normal_form
+    reads each word."""
+    calls = counted_left_weight_calls(monkeypatch)
     per_letter = []
     for w in words:
-        calls = 0
+        calls.clear()
         normal_form(w)
-        per_letter.append(calls / len(w))
+        per_letter.append(len(calls) / len(w))
     return per_letter
 
 
@@ -487,6 +493,96 @@ class TestOracleAgreement:
         w2 = BraidWord.from_ints(n, ints[:pos] + relator + ints[pos:])
         assert equal(w1, w2)
         assert dynnikov_equal(w1, w2)
+
+
+def relator(rng, n):
+    """A word equal to the identity in B_n, n >= 3: a free cancellation, a
+    braid relation or a far commutation."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        i = rng.randrange(1, n)
+        return [i, -i] if rng.random() < 0.5 else [-i, i]
+    i = rng.randrange(1, n - 1)
+    far = [j for j in range(1, n) if abs(j - i) >= 2]
+    if kind == 1 or not far:
+        return [i, i + 1, i, -(i + 1), -i, -(i + 1)]
+    j = rng.choice(far)
+    return [i, j, -i, -j]
+
+
+def spelling(rng, n, base, extra):
+    """base with relators inserted at random places until it has grown by
+    at least extra letters."""
+    out = list(base)
+    while len(out) < len(base) + extra:
+        pos = rng.randrange(len(out) + 1)
+        out[pos:pos] = relator(rng, n)
+    return out
+
+
+def seeded_pair(rng, n, length, same):
+    """Two spellings of one seeded base word, each with relators inserted;
+    unless same, one of them also holds the pure commutator
+    [b_i^2, b_(i+1)^2], which keeps exponent sum and permutation."""
+    base = to_ints(random_word(rng, n, length))
+    a, b = spelling(rng, n, base, 20), spelling(rng, n, base, 20)
+    if not same:
+        i = rng.randrange(1, n - 1)
+        pos = rng.randrange(len(b) + 1)
+        b[pos:pos] = [i, i, i + 1, i + 1, -i, -i, -(i + 1), -(i + 1)]
+    return BraidWord.from_ints(n, a), BraidWord.from_ints(n, b)
+
+
+class TestEqualFromOneNormalForm:
+    """equal(w1, w2) reads one normal form, of w1^-1 w2."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 24])
+    def test_agrees_with_both_normal_forms_and_the_oracle(self, n):
+        rng = random.Random(3200 + n)
+        for same in (True, False, True, False):
+            a, b = seeded_pair(rng, n, 200, same)
+            assert equal(a, b) == same
+            assert (normal_form(a) == normal_form(b)) == same
+            assert dynnikov_equal(a, b) == same
+
+    def test_a_shared_spelling_costs_no_left_weighting(self, monkeypatch):
+        # the letters of w^-1 w cancel at the junction, each against its
+        # inverse, before any run is cut.  The two normal forms of w cost
+        # 2,251 calls per letter each, 72 million in all
+        calls = counted_left_weight_calls(monkeypatch)
+        w = W(4, *([1] * 1000 + [-2] * 1000) * 8)
+        assert equal(w, w)
+        assert equal(w, compose(w, W(4, 1, -1)))
+        assert not calls
+
+
+class TestLeftWeightKernel:
+    """braid._left_weight against the insertion sort it was written from."""
+
+    @pytest.mark.parametrize("n", range(2, 25))
+    def test_matches_the_reference(self, n):
+        from left_weight_reference import left_weight
+
+        rng = random.Random(n)
+        ident = list(range(n))
+        for _ in range(150):
+            pair = []
+            for _ in range(2):
+                # a uniform simple factor, or one a few crossings away
+                # from the identity or from Delta, where pairs are more
+                # often left-weighted already
+                p = ident[:] if rng.random() < 0.5 else ident[::-1]
+                if rng.random() < 0.4:
+                    rng.shuffle(p)
+                else:
+                    for _ in range(rng.randrange(n)):
+                        i = rng.randrange(n - 1)
+                        p[i], p[i + 1] = p[i + 1], p[i]
+                pair.append(p)
+            a, b = pair
+            ra, rb = a[:], b[:]
+            assert braid._left_weight(a, b) == left_weight(ra, rb)
+            assert (a, b) == (ra, rb)
 
 
 class TestAgainstLaminationEngine:

@@ -509,28 +509,32 @@ class TestCLI:
         assert run(["verify", str(f), str(f), "--tier", tier], capsys) == (
             1, "", f"parse error: {err}\n")
 
-    # a token outside the @swap alphabet is unknown; sub(...; Fi) reads and
-    # checks its index
+    # a token outside the @swap alphabet is unknown, an error at its own
+    # line and column; the Fi of sub(...; Fi) is one of the tokens F1 to F4,
+    # so a leading zero or another script's digit is no index
     @pytest.mark.parametrize("token,message", [
         pytest.param(token, message, id=token) for token, message in [
-            ("rhoA(1,5; c1)", "unknown swap token 'rhoA(1,5;'"),
-            ("rhoA(2,1; c1)", "unknown swap token 'rhoA(2,1;'"),
-            ("rhoA(3,3; c1)", "unknown swap token 'rhoA(3,3;'"),
-            ("sub(c1; F5)", "no subsurface F5"),
-            ("sub(c1; F0)", "no subsurface F0"),
-            ("M(0)", "unknown swap token 'M(0)'"),
-            ("M(7)", "unknown swap token 'M(7)'"),
-            ("rho(1,5)", "unknown swap token 'rho(1,5)'"),
-            ("delta(2,2)", "unknown swap token 'delta(2,2)'"),
-            ("rho(01,2)", "unknown swap token 'rho(01,2)'"),
+            ("rhoA(1,5; c1)", "2:4: unknown swap token 'rhoA(1,5;'"),
+            ("rhoA(2,1; c1)", "2:4: unknown swap token 'rhoA(2,1;'"),
+            ("rhoA(3,3; c1)", "2:4: unknown swap token 'rhoA(3,3;'"),
+            ("sub(c1; F5)", "2:12: unknown subsurface token 'F5'"),
+            ("sub(c1; F0)", "2:12: unknown subsurface token 'F0'"),
+            ("sub(c1; F01)", "2:12: unknown subsurface token 'F01'"),
+            ("sub(c1; F001)", "2:12: unknown subsurface token 'F001'"),
+            ("sub(c1; F\u0661)", "2:12: unknown subsurface token 'F\u0661'"),
+            ("M(0)", "2:4: unknown swap token 'M(0)'"),
+            ("M(7)", "2:4: unknown swap token 'M(7)'"),
+            ("rho(1,5)", "2:4: unknown swap token 'rho(1,5)'"),
+            ("delta(2,2)", "2:4: unknown swap token 'delta(2,2)'"),
+            ("rho(01,2)", "2:4: unknown swap token 'rho(01,2)'"),
         ]])
     def test_swap_index_out_of_range_is_a_parse_error(self, tmp_path, capsys,
                                                       token, message):
         f = tmp_path / "w.swap"
-        f.write_text(f"@swap l=0\nMb {token}\n")
+        f.write_text(f"@swap l=0\nMb {token}\n", encoding="utf-8")
         code, _, err = run(["verify", str(f), str(f), "--tier", "homology"],
                            capsys)
-        assert code == 1 and err == f"parse error: 2:4: {message}\n"
+        assert code == 1 and err == f"parse error: {message}\n"
 
     @pytest.mark.parametrize("token", ["b5", "b3", "b0", "b01"])
     def test_braid_index_out_of_range_is_a_parse_error(self, tmp_path,

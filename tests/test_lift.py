@@ -164,8 +164,9 @@ class TestSwapBands:
     def test_certificate_work_at_the_layout_cap(self, monkeypatch):
         # g' = 24 is the subsurface genus at l = 22.  The band product and
         # the target are long runs of one sign; read one simple factor per
-        # letter, their normal forms took 22,146 `_left_weight` calls, and
-        # read one per run they take 392.
+        # letter, their two normal forms took 22,146 `_left_weight` calls.
+        # Read one per run, the one normal form of the band product's
+        # inverse times the target takes 393.
         calls = 0
         left_weight = braid_mod._left_weight
 

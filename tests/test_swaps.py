@@ -318,6 +318,17 @@ class TestSwapAlphabet:
                 parse(text)
             assert (err.value.line, err.value.column) == (2, 4)
 
+    @pytest.mark.parametrize("l", [0, 1])
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_each_subsurface_index_round_trips(self, l, i):
+        text = f"@swap l={l}\nsub(c1 c2^-1; F{i})^-1"
+        w = parse(text).value
+        (kind, sign), = w.letters
+        assert (kind[:2], sign) == (("sub", i), -1)
+        printed = print_document(Document("swap", w))
+        assert printed.splitlines()[1:] == [f"sub(c1 c2^-1; F{i})^-1"]
+        assert parse(printed).value == w
+
     def test_printer_writes_no_token_outside_the_alphabet(self, layout):
         a = parse("@swap l=0\nsub(c1; F1)").value.letters[0][0][2]
         v = swap_letter(layout, ("sub", 1, a))
