@@ -514,11 +514,17 @@ def _parse_swap(params, reader: _Reader) -> SwapWord:
         context=SurfaceLayout(params.get("l", 0))))[0]
 
 
+_SUBSURFACE_TOKENS = {i: f for f, i in _SUBSURFACES.items()}
+
+
 def _print_swap_letter(kind, sign) -> str:
     suffix = "^-1" if sign < 0 else ""
     name = kind[0]
     if name == "sub":
-        return f"sub({_inline(kind[2])}; F{kind[1]})" + suffix
+        f = _SUBSURFACE_TOKENS.get(kind[1])
+        if f is None:
+            raise ValueError(f"unknown subsurface index {kind[1]!r}")
+        return f"sub({_inline(kind[2])}; {f})" + suffix
     if name == "conj":
         v, inner = kind[1], kind[2]
         if (len(v.letters) == 1 and v.letters[0][0][0] == "sub"

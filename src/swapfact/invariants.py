@@ -36,8 +36,13 @@ def euler_filling(g: int, s: int, n_cycles: int) -> int:
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix, exactly.
 
-    Classic pivoting reduction; trailing zero factors are kept so the
-    length equals min(nrows, ncols).
+    Each step takes a pivot p, an entry +-1 of the first row that has one
+    or, with no such entry, one of least magnitude, and reduces p's column
+    by row operations and p's row by column operations; a remainder starts
+    the next step.  Once both are clear, an entry p does not divide has
+    its row added to p's row, else |p| is the next factor and p's row and
+    column are deleted.  Trailing zero factors are kept so the length
+    equals min(nrows, ncols).
     """
     m = [list(map(int, r)) for r in rows]
     if not m or not m[0]:
@@ -46,53 +51,36 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     if any(len(r) != nc for r in m):
         raise ValueError("ragged matrix")
     factors: List[int] = []
-    top = 0
-    while top < nr and top < nc:
-        # find the nonzero entry of least magnitude in the working block
-        piv = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                if m[i][j] != 0 and (piv is None
-                                     or abs(m[i][j]) < abs(m[piv[0]][piv[1]])):
-                    piv = (i, j)
+    while True:
+        piv = next(((1, i, r.index(u)) for i, r in enumerate(m)
+                    for u in (1, -1) if u in r), None) or min(
+            ((abs(x), i, j) for i, r in enumerate(m)
+             for j, x in enumerate(r) if x), default=None)
         if piv is None:
             break
-        i, j = piv
-        m[top], m[i] = m[i], m[top]
+        _, i, j = piv
+        p = m[i][j]
+        for k, r in enumerate(m):  # p's column, by row operations
+            q = r[j] // p
+            if q and k != i:
+                m[k] = [a - q * b for a, b in zip(r, m[i])]
+        # p's row, by column operations: a row changes if it meets p's column
+        qs = [(c, x // p) for c, x in enumerate(m[i]) if c != j and x // p]
         for r in m:
-            r[top], r[j] = r[j], r[top]
-        p = m[top][top]
-        clean = True
-        for i in range(top + 1, nr):
-            q = m[i][top] // p
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-            if m[i][top]:
-                clean = False
-        for j in range(top + 1, nc):
-            q = m[top][j] // p
-            if q:
-                for r in m:
-                    r[j] -= q * r[top]
-            if m[top][j]:
-                clean = False
-        if not clean:
-            continue
-        # pivot must divide the rest of the block
-        p = abs(m[top][top])
-        offender = None
-        for i in range(top + 1, nr):
-            for j in range(top + 1, nc):
-                if m[i][j] % p:
-                    offender = i
-                    break
-            if offender:
-                break
-        if offender is not None:
-            m[top] = [a + b for a, b in zip(m[top], m[offender])]
-            continue
-        factors.append(p)
-        top += 1
+            if r[j]:
+                for c, q in qs:
+                    r[c] -= q * r[j]
+        if sum(1 for r in m if r[j]) + sum(map(bool, m[i])) > 2:
+            continue  # a remainder is left
+        if abs(p) != 1:  # a unit divides every entry
+            bad = next((r for r in m if any(x % p for x in r)), None)
+            if bad is not None:  # the next step leaves an entry below |p|
+                m[i] = [a + b for a, b in zip(m[i], bad)]
+                continue
+        factors.append(abs(p))
+        del m[i]
+        for r in m:
+            del r[j]
     factors.extend([0] * (min(nr, nc) - len(factors)))
     return tuple(factors)
 
@@ -123,11 +111,14 @@ def b1_of_total_space(fact: PositiveFactorization,
     else:
         rank_ambient = r
     # the letters' classes repeat (at genus 45, 7,924 letters have 175
-    # classes up to sign); a row and its negative span the same lattice,
-    # so each is kept once, with its first nonzero entry positive
-    rows: Dict[Tuple[int, ...], None] = {}
+    # classes up to sign), so each distinct class is capped once, named by
+    # its first letter; a row and its negative span the same lattice, so
+    # each is kept once, with its first nonzero entry positive
+    firsts: Dict[Tuple[int, ...], object] = {}
     for c, _ in fact.word.letters:
-        v = calc.curve_class(c)
+        firsts.setdefault(calc.curve_class(c), c)
+    rows: Dict[Tuple[int, ...], None] = {}
+    for v, c in firsts.items():
         if cap:
             # coordinates in the basis e, c_2, ..., c_r (unimodular since
             # e_1 = 1) are v_1 and v_i - e_i v_1; drop the e-coordinate

@@ -1053,6 +1053,19 @@ class TestCLI:
                     "hyperelliptic_verdict:"]:
             assert key in out
 
+    @pytest.mark.parametrize("body, first", [
+        ("delta1 delta2", 1), ("delta2 delta1", 2)])
+    def test_invariants_names_the_first_letter_with_a_null_class(
+            self, tmp_path, capsys, body, first):
+        # the boundary twists act as the identity but cap to zero
+        f = tmp_path / "w.txt"
+        f.write_text(f"@twist g=11 s=2\n{body}\n")
+        code, out, err = run(["invariants", str(f)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: letter NamedCurve('boundary', {first}) has "
+                       "null class: separating vanishing cycle or class "
+                       "bookkeeping defect\n")
+
     def test_schema_version_in_reports(self, tmp_path, capsys):
         f = tmp_path / "w.txt"
         f.write_text("@braid n=3\nb1\n")

@@ -51,6 +51,12 @@ class TestSmith:
 
     def test_hand_example(self):
         assert smith_normal_form([[2, 4], [6, 10]]) == (2, 2)
+        # 2 clears its row and column but does not divide 3: 3's row is
+        # added to 2's before 2 can be split off
+        assert smith_normal_form([[2, 0], [0, 3]]) == (1, 6)
+        assert smith_normal_form([[4, 6], [6, 4]]) == (2, 10)
+        assert smith_normal_form([[2], [4], [6]]) == (2,)
+        assert smith_normal_form([[0, 3, 0]]) == (3,)
 
     def test_zero_matrix(self):
         assert smith_normal_form([[0, 0], [0, 0]]) == (0, 0)
@@ -70,6 +76,17 @@ class TestSmith:
         for _ in range(200):
             nr, nc = rng.randint(1, 5), rng.randint(1, 5)
             m = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+            assert smith_normal_form(m) == smith_normal_form_oracle(m)
+
+    def test_against_minor_gcd_oracle_without_units(self):
+        # entries from -9..9 almost always offer a unit pivot; these offer
+        # none to start with, so pivots of least magnitude and added rows
+        # are reached
+        rng = random.Random(11)
+        entries = [0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9]
+        for _ in range(300):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            m = [[rng.choice(entries) for _ in range(nc)] for _ in range(nr)]
             assert smith_normal_form(m) == smith_normal_form_oracle(m)
 
 

@@ -332,7 +332,8 @@ class TestSwapAlphabet:
     def test_printer_writes_no_token_outside_the_alphabet(self, layout):
         a = parse("@swap l=0\nsub(c1; F1)").value.letters[0][0][2]
         v = swap_letter(layout, ("sub", 1, a))
-        for kind in [("rho", 1, 5), ("M", 7), ("conj", v, ("rho", 1, 5))]:
+        for kind in [("rho", 1, 5), ("M", 7), ("conj", v, ("rho", 1, 5)),
+                     ("sub", 0, a), ("sub", 5, a), ("sub", 7, a)]:
             with pytest.raises(ValueError):
                 print_document(Document("swap", swap_letter(layout, kind)))
 
